@@ -222,11 +222,12 @@ def journal_records(path: str | Path) -> list[Record]:
 
     Cells come out keyed and sorted by their experiment digest (the
     journal's own identity for a cell), each flattened through
-    :func:`result_record`.
+    :func:`result_record`.  Read-only: the journal may belong to a
+    sweep that is still writing it.
     """
     from repro.experiments.journal import SweepJournal
 
-    completed = SweepJournal(path).load()
+    completed = SweepJournal(path).cells()
     rows: list[Record] = []
     for digest in sorted(completed):
         row: Record = {"digest": digest}
@@ -251,7 +252,7 @@ def fleet_survival_records(source) -> list[Record]:
     if isinstance(source, (str, Path)):
         from repro.fleet.journal import FleetJournal
 
-        loaded = FleetJournal(source).load_last_snapshot()
+        loaded = FleetJournal(source).last_snapshot()
         if loaded is None:
             return []
         _step, state = loaded

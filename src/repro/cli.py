@@ -38,10 +38,7 @@ from repro.core.checkpoint import CheckpointError
 from repro.core.history import HistoryStore
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.experiments.figures import power_sweep
-from repro.experiments.journal import (
-    JournalHeaderMismatchError,
-    SweepJournal,
-)
+from repro.experiments.journal import SweepJournal
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.reporting import render_sweep, render_table1
 from repro.experiments.runner import (
@@ -73,6 +70,7 @@ from repro.telemetry import (
     render_decision_timeline,
     render_metrics_summary,
 )
+from repro.util.jsonlog import JournalMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
 from repro.util.log import configure as configure_logging
 from repro.util.tables import format_table
@@ -405,9 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--dim", type=int, default=None,
                      help="hashed feature dimensionality (default: 1024)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--mlp", action="store_true",
-                     help="refine the ridge fit with the seeded tiny "
-                          "MLP (slower, sometimes tighter)")
     fit.add_argument(
         "--faults", default=None, metavar="PLAN.JSON",
         help="fault plan arming the surrogate.corpus / surrogate.fit "
@@ -766,7 +761,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 sweep = _run_sweep()
         else:
             sweep = _run_sweep()
-    except JournalHeaderMismatchError as exc:
+    except JournalMismatchError as exc:
         raise SystemExit(f"error: {exc}") from exc
     lines = [
         render_sweep(
@@ -794,7 +789,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 def _cmd_fleet(args: argparse.Namespace) -> str:
     from repro.fleet import (
         FleetJournal,
-        FleetJournalMismatchError,
         FleetPlanError,
         FleetSimulation,
         load_fleet_plan,
@@ -837,7 +831,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 result = sim.run()
         else:
             result = sim.run()
-    except FleetJournalMismatchError as exc:
+    except JournalMismatchError as exc:
         raise SystemExit(f"error: {exc}") from exc
     return render_fleet(result)
 
@@ -951,7 +945,6 @@ def _render_fit_report(report) -> str:
         ("  unresolvable", str(report.n_unresolvable)),
         ("feature dim", str(report.dim)),
         ("seed", str(report.seed)),
-        ("mlp refinement", "yes" if report.mlp else "no"),
         ("holdout rel err", fmt(report.holdout_rel_err)),
         ("train rel err", fmt(report.train_rel_err)),
         ("usable", "yes" if report.usable else
@@ -1012,7 +1005,6 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
     model = fit_surrogate(
         records,
         seed=args.seed,
-        mlp=args.mlp,
         corpus_stats=stats,
         faults=faults,
         **kwargs,

@@ -28,7 +28,6 @@ tuning sessions on every flip.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +35,7 @@ from pathlib import Path
 from repro.machine.rapl import CapWriteRejectedError
 from repro.openmp.runtime import OpenMPRuntime
 from repro.telemetry.bus import bus
+from repro.util.jsonlog import digest
 from repro.util.retry import RetryPolicy
 
 #: attempts per cap-change write before giving up on the event (the
@@ -163,10 +163,7 @@ class CapSchedule:
 
     def fingerprint(self) -> str:
         """Short content fingerprint (cache digests, checkpoint meta)."""
-        blob = json.dumps(
-            self.to_json(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return digest(self.to_json(), 16)
 
 
 def load_cap_schedule(path: str | Path) -> CapSchedule:

@@ -21,7 +21,6 @@ as misses and silently overwritten, never crashes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +37,7 @@ from repro.experiments.serialize import (
 )
 from repro.faults.plan import plan_fingerprint
 from repro.util.atomicio import atomic_write_text
+from repro.util.jsonlog import digest
 from repro.workloads.base import Application
 
 #: bump whenever the digest inputs or the serialized result layout
@@ -96,8 +96,7 @@ def experiment_digest(
     capsched = _capsched_fingerprint(setup)
     if capsched is not None:
         key["capsched"] = capsched
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return digest(key)
 
 
 def tuning_digest(app: Application, setup: ExperimentSetup) -> str:
@@ -120,8 +119,7 @@ def tuning_digest(app: Application, setup: ExperimentSetup) -> str:
     faults = _fault_fingerprint(setup)
     if faults is not None:
         key["faults"] = faults
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return digest(key)
 
 
 # ---------------------------------------------------------------------------

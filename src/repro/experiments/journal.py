@@ -4,10 +4,8 @@ The result cache (:mod:`repro.experiments.cache`) already memoizes
 completed cells, but it is optional, shared across sweeps, and keyed
 only by experiment digest - it cannot say *which sweep* a result
 belongs to or whether a sweep finished.  The journal is the
-sweep-scoped complement: an append-only JSONL file where the executor
-records each completed cell (digest + full-fidelity result) the moment
-it finishes, flushed and fsynced so a ``kill -9`` never loses a
-completed cell.
+sweep-scoped complement: the executor records each completed cell
+(digest + full-fidelity result) the moment it finishes.
 
 On resume (``ParallelSweepExecutor(..., resume=True)``) completed
 cells are served from the journal and only the remainder executes.
@@ -15,167 +13,82 @@ Because results round-trip through the same serializer as the cache
 (floats via ``repr``), a killed-and-resumed sweep produces output
 byte-identical to an uninterrupted run at the same seed.
 
-A torn tail - the partial last line a crash can leave behind even
-with fsync (the crash may land mid-``write``) - is tolerated and
-truncated away on load.
+The file is a :class:`~repro.util.jsonlog.JsonLog`: it owns the
+header, fsync, torn-tail repair and the identity rule that refuses to
+resume another sweep's journal; this module is the codec between its
+records and completed cells.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 
 from repro.experiments.cache import result_from_json, result_to_json
 from repro.experiments.runner import StrategyRunResult
+from repro.util.jsonlog import JsonLog
 
 #: bump when the journal line layout changes; mismatched lines are
 #: ignored on load (the cells simply re-run).
 JOURNAL_SCHEMA_VERSION = 1
 
 
-class JournalHeaderMismatchError(ValueError):
-    """The journal on disk was written by a *different* sweep (other
-    seed set, fault plan, or task grid); resuming would silently mix
-    incompatible results, so the executor refuses instead."""
-
-
 class SweepJournal:
-    """Append-only completed-cell log for one sweep invocation.
-
-    The first line may be a ``kind: "header"`` record identifying the
-    sweep that wrote the journal (task-grid fingerprint, seeds, fault
-    plans); resume compares it against the current sweep and refuses a
-    mismatch.  Journals written before headers existed load normally.
-    """
+    """Append-only completed-cell log for one sweep invocation."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self.log = JsonLog(path, JOURNAL_SCHEMA_VERSION, "sweep")
+        self.path = self.log.path
 
-    # ------------------------------------------------------------------
+    def resume(self, header: dict) -> dict[str, StrategyRunResult]:
+        """Reopen the journal for the sweep ``header`` identifies
+        (:meth:`JsonLog.resume`) and return its completed cells."""
+        self.log.resume(header)
+        return self.cells()
+
     def load(self) -> dict[str, StrategyRunResult]:
-        """Completed cells keyed by experiment digest.
+        """Completed cells, after truncating a torn tail (owner only)."""
+        self.log.repair()
+        return self.cells()
 
-        Tolerant by construction: a missing file is an empty journal;
-        a torn or unparsable line (interrupted write) ends the scan -
-        everything before it is intact because lines are appended
-        atomically in order.
-        """
+    def cells(self) -> dict[str, StrategyRunResult]:
+        """Completed cells keyed by experiment digest; read-only.  A
+        damaged cell record is skipped (the cell simply re-runs)."""
         completed: dict[str, StrategyRunResult] = {}
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return completed
-        valid_bytes = 0
-        for raw in data.splitlines(keepends=True):
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                valid_bytes += len(raw)
-                continue
+        for record in self.log.records():
             try:
-                blob = json.loads(line)
-                if (
-                    not isinstance(blob, dict)
-                    or blob.get("schema") != JOURNAL_SCHEMA_VERSION
-                ):
-                    valid_bytes += len(raw)
-                    continue
-                if blob.get("kind") == "header":
-                    # sweep-identity record, not a completed cell;
-                    # must be skipped *before* the digest lookup or
-                    # the torn-tail branch would truncate it away.
-                    valid_bytes += len(raw)
-                    continue
-                completed[blob["digest"]] = result_from_json(
-                    blob["result"]
+                completed[record["digest"]] = result_from_json(
+                    record["result"]
                 )
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError, IndexError):
-                # torn tail from a crash mid-append: nothing after it
-                # was recorded.  Truncate it away so future appends
-                # land on an intact prefix, and re-run those cells.
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(valid_bytes)
-                break
-            valid_bytes += len(raw)
+            except (KeyError, TypeError, ValueError, IndexError):
+                continue
         return completed
 
     def run_ids(self) -> dict[str, str]:
-        """Telemetry run-ids of journaled cells, keyed by digest.
-
-        Lets ``sweep --resume`` (and ``repro trace``) associate each
-        completed cell with its ``task-<run_id>.jsonl`` trace file.
-        Cells journaled without telemetry are absent.
-        """
+        """Telemetry run-ids of journaled cells, keyed by digest, so
+        ``sweep --resume`` (and ``repro trace``) can associate each
+        completed cell with its ``task-<run_id>.jsonl`` trace file."""
         return self._field_by_digest("run_id")
 
     def traceparents(self) -> dict[str, str]:
-        """Trace-context handoffs of journaled cells, keyed by digest.
-
-        A resumed sweep re-announces each reused cell with the
-        traceparent the original sweep assigned it, so the stitched
-        trace tree stays whole across the kill/resume boundary.
-        """
+        """Trace-context handoffs of journaled cells, keyed by digest:
+        a resumed sweep re-announces each reused cell with them, so the
+        stitched trace tree stays whole across the kill/resume."""
         return self._field_by_digest("trace")
 
     def _field_by_digest(self, field: str) -> dict[str, str]:
-        values: dict[str, str] = {}
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return values
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            try:
-                blob = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail; load() handles truncation
-            if not isinstance(blob, dict) or blob.get("kind") == "header":
-                continue
-            digest = blob.get("digest")
-            value = blob.get(field)
-            if isinstance(digest, str) and isinstance(value, str):
-                values[digest] = value
-        return values
+        return {
+            r["digest"]: r[field]
+            for r in self.log.records()
+            if isinstance(r.get("digest"), str)
+            and isinstance(r.get(field), str)
+        }
 
-    # ------------------------------------------------------------------
     def read_header(self) -> dict | None:
-        """The sweep-identity header, or ``None`` for a missing /
-        empty / pre-header (legacy) journal."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            try:
-                blob = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            if (
-                isinstance(blob, dict)
-                and blob.get("kind") == "header"
-            ):
-                header = dict(blob)
-                header.pop("schema", None)
-                header.pop("kind", None)
-                return header
-            return None  # first record is a cell: legacy journal
-        return None
+        return self.log.header()
 
     def write_header(self, header: dict) -> None:
-        """Record the sweep identity as the first journal line."""
-        self._append_line(
-            {
-                "schema": JOURNAL_SCHEMA_VERSION,
-                "kind": "header",
-                **header,
-            }
-        )
+        """Start the journal over with the sweep identity ``header``."""
+        self.log.start(header)
 
     def append(
         self,
@@ -185,18 +98,10 @@ class SweepJournal:
         run_id: str | None = None,
         trace: str | None = None,
     ) -> None:
-        """Record one completed cell durably (flush + fsync) so the
-        entry survives the process dying immediately after.
-
-        ``run_id`` is the cell's telemetry run identifier; carrying it
-        here lets a resumed sweep stitch the per-cell trace files of a
-        killed sweep into one timeline (``load`` tolerates its absence
-        in legacy journals).  ``trace`` is the traceparent handed to
-        the cell's worker, preserved for the same cross-resume
-        stitching.
-        """
+        """Record one completed cell durably.  ``run_id`` (the cell's
+        telemetry run) and ``trace`` (the traceparent handed to its
+        worker) let a resumed sweep stitch the killed sweep's traces."""
         record = {
-            "schema": JOURNAL_SCHEMA_VERSION,
             "digest": digest,
             "task": label,
             "result": result_to_json(result),
@@ -205,17 +110,7 @@ class SweepJournal:
             record["run_id"] = run_id
         if trace is not None:
             record["trace"] = trace
-        self._append_line(record)
-
-    def _append_line(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self.log.append(record)
 
     def clear(self) -> None:
-        """Start the journal over (a fresh, non-resumed sweep)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
+        self.log.clear()

@@ -36,10 +36,7 @@ from pathlib import Path
 
 from repro.core.history import CorruptHistoryError, HistoryStore
 from repro.experiments.cache import ExperimentCache, experiment_digest
-from repro.experiments.journal import (
-    JournalHeaderMismatchError,
-    SweepJournal,
-)
+from repro.experiments.journal import SweepJournal
 from repro.experiments.runner import (
     ExperimentSetup,
     StrategyRunResult,
@@ -354,8 +351,10 @@ class ParallelSweepExecutor:
         Optional :class:`~repro.experiments.journal.SweepJournal`.
         Every completed cell is appended durably; with ``resume=True``
         cells already journaled are served from it instead of
-        re-running (a killed sweep picks up where it stopped).
-        Without ``resume`` the journal is cleared first.
+        re-running (a killed sweep picks up where it stopped), and a
+        journal another sweep wrote raises
+        :class:`~repro.util.jsonlog.JournalMismatchError`.  Without
+        ``resume`` the journal is started over.
     resume:
         Serve completed cells from the journal (requires ``journal``).
     faults:
@@ -405,26 +404,8 @@ class ParallelSweepExecutor:
         if self.journal is not None:
             header = self._header(tasks)
             if self.resume:
-                saved = self.journal.read_header()
-                if saved is not None and saved != header:
-                    mismatched = sorted(
-                        set(saved) ^ set(header)
-                        | {
-                            k
-                            for k in header
-                            if k in saved and saved[k] != header[k]
-                        }
-                    )
-                    raise JournalHeaderMismatchError(
-                        f"journal {self.journal.path} was written by a "
-                        "different sweep (mismatched: "
-                        f"{', '.join(mismatched)}); resuming would mix "
-                        "incompatible results - delete the journal or "
-                        "re-run without resume"
-                    )
-                journaled = self.journal.load()
+                journaled = self.journal.resume(header)
             else:
-                self.journal.clear()
                 self.journal.write_header(header)
 
         tb = bus()

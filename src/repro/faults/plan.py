@@ -78,10 +78,11 @@ so a plan file fully determines which occurrences fire.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.util.jsonlog import digest
 
 #: injection site -> allowed actions.
 FAULT_SITES: dict[str, tuple[str, ...]] = {
@@ -295,7 +296,4 @@ def plan_fingerprint(plan: FaultPlan | None) -> str | None:
     plans so clean-run digests and journal headers omit the key."""
     if plan is None or not plan:
         return None
-    blob = json.dumps(
-        plan.to_json(), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return digest(plan.to_json(), 16)

@@ -1,151 +1,64 @@
 """Crash-safe fleet journal: resume a killed fleet run byte-identically.
 
-Same durability contract as :class:`~repro.experiments.journal.
-SweepJournal` and the run checkpoints: an append-only JSONL file whose
-first line is a ``kind: "header"`` identity record (fleet-plan and
-fault-plan fingerprints, seed, global cap) and whose subsequent lines
-are one *complete* simulation snapshot per finished step - node cells,
-allocator, membership, fault-injector counters and the cumulative
-event log - flushed and fsynced before the step is considered done.
+A :class:`~repro.util.jsonlog.JsonLog` (the sweep journal's format)
+whose header identifies the fleet run (fleet-plan and fault-plan
+fingerprints, seed, global cap) and whose records are one *complete*
+simulation snapshot per finished step - node cells, allocator,
+membership, fault-injector counters and the cumulative event log.
 
 Because every snapshot is self-contained, resume only needs the last
-intact line: restore it, continue from ``step + 1``, and the final
+intact record: restore it, continue from ``step + 1``, and the final
 :class:`~repro.fleet.sim.FleetResult` JSON is byte-identical to an
-uninterrupted run.  A torn tail (crash mid-append) is truncated away
-on load exactly like the sweep journal's; a header written by a
-*different* fleet (other plan, faults or seed) raises
-:class:`FleetJournalMismatchError` instead of silently mixing runs.
+uninterrupted run.  Torn-tail repair and the identity rule (another
+fleet's journal raises :class:`~repro.util.jsonlog.JournalMismatchError`)
+are the log's.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.util.jsonlog import JsonLog
 
 #: bump when the snapshot layout changes; mismatched lines are ignored.
 FLEET_JOURNAL_SCHEMA = 1
-
-
-class FleetJournalMismatchError(ValueError):
-    """The journal on disk belongs to a different fleet run."""
 
 
 class FleetJournal:
     """Append-only per-step snapshot log for one fleet invocation."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self.log = JsonLog(path, FLEET_JOURNAL_SCHEMA, "fleet")
+        self.path = self.log.path
 
-    # ------------------------------------------------------------------
-    def read_header(self) -> dict | None:
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        for raw in data.splitlines():
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                continue
-            try:
-                blob = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            if isinstance(blob, dict) and blob.get("kind") == "header":
-                header = dict(blob)
-                header.pop("schema", None)
-                header.pop("kind", None)
-                return header
-            return None
-        return None
+    def resume(self, header: dict) -> tuple[int, dict] | None:
+        """Reopen the journal for the fleet run ``header`` identifies
+        (:meth:`JsonLog.resume`) and return its last snapshot."""
+        self.log.resume(header)
+        return self.last_snapshot()
 
-    def write_header(self, header: dict) -> None:
-        self._append_line(
-            {
-                "schema": FLEET_JOURNAL_SCHEMA,
-                "kind": "header",
-                **header,
-            }
-        )
-
-    def check_header(self, expected: dict) -> None:
-        """Refuse to resume into a journal another fleet wrote."""
-        found = self.read_header()
-        if found is None:
-            raise FleetJournalMismatchError(
-                f"journal {self.path} has no fleet header; it was not "
-                "written by 'repro fleet run --journal'"
-            )
-        mismatched = sorted(
-            key
-            for key in set(expected) | set(found)
-            if expected.get(key) != found.get(key)
-        )
-        if mismatched:
-            raise FleetJournalMismatchError(
-                f"journal {self.path} was written by a different fleet "
-                f"run (mismatched: {', '.join(mismatched)}); use a "
-                "fresh --journal path or re-run with the original plan"
-            )
-
-    # ------------------------------------------------------------------
     def load_last_snapshot(self) -> tuple[int, dict] | None:
-        """The newest intact ``(step, state)`` snapshot, or ``None``.
+        """The last snapshot, after truncating a torn tail (owner only)."""
+        self.log.repair()
+        return self.last_snapshot()
 
-        Scans forward keeping the last parseable snapshot; a torn or
-        unparsable line ends the scan and is truncated away so future
-        appends land on an intact prefix.
-        """
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
+    def last_snapshot(self) -> tuple[int, dict] | None:
+        """The newest ``(step, state)`` snapshot, or ``None``; read-only."""
         latest: tuple[int, dict] | None = None
-        valid_bytes = 0
-        for raw in data.splitlines(keepends=True):
-            line = raw.decode(errors="replace").strip()
-            if not line:
-                valid_bytes += len(raw)
-                continue
+        for record in self.log.records():
             try:
-                blob = json.loads(line)
-                if (
-                    not isinstance(blob, dict)
-                    or blob.get("schema") != FLEET_JOURNAL_SCHEMA
-                ):
-                    valid_bytes += len(raw)
-                    continue
-                if blob.get("kind") == "header":
-                    valid_bytes += len(raw)
-                    continue
-                latest = (int(blob["step"]), blob["state"])
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(valid_bytes)
-                break
-            valid_bytes += len(raw)
+                latest = (int(record["step"]), record["state"])
+            except (KeyError, TypeError, ValueError):
+                continue
         return latest
 
+    def read_header(self) -> dict | None:
+        return self.log.header()
+
+    def write_header(self, header: dict) -> None:
+        """Start the journal over with the fleet identity ``header``."""
+        self.log.start(header)
+
     def append_snapshot(self, step: int, state: dict) -> None:
-        """Record one finished step durably (flush + fsync)."""
-        self._append_line(
-            {
-                "schema": FLEET_JOURNAL_SCHEMA,
-                "step": step,
-                "state": state,
-            }
-        )
-
-    def _append_line(self, record: dict) -> None:
-        line = json.dumps(record, separators=(",", ":"))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def clear(self) -> None:
-        """Start over (a fresh, non-resumed fleet run)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
+        """Record one finished step durably."""
+        self.log.append({"step": step, "state": state})

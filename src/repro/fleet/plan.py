@@ -13,13 +13,13 @@ a different fleet.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.machine.spec import MachineSpec, machine_by_name
+from repro.util.jsonlog import digest
 
 
 class FleetPlanError(ValueError):
@@ -285,10 +285,7 @@ def save_fleet_plan(plan: FleetPlan, path: str | Path) -> None:
 
 def fleet_plan_fingerprint(plan: FleetPlan) -> str:
     """Short content fingerprint (journal-header identity)."""
-    blob = json.dumps(
-        plan.to_json(), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return digest(plan.to_json(), 16)
 
 
 def synthesize_fleet(

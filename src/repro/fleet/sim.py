@@ -203,13 +203,11 @@ class FleetSimulation:
     def run(self) -> FleetResult:
         if self.journal is not None:
             if self.resume:
-                self.journal.check_header(self._header())
-                snap = self.journal.load_last_snapshot()
+                snap = self.journal.resume(self._header())
                 if snap is not None:
                     self.step, state = snap
                     self._restore(state)
             else:
-                self.journal.clear()
                 self.journal.write_header(self._header())
         while self.step < self.plan.max_steps and not self._finished():
             if (

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from repro.telemetry.metrics import HistogramStats
 from repro.telemetry.sinks import telemetry_files
+from repro.util.jsonlog import decode_lines
 
 #: default rollup window, in virtual seconds.
 DEFAULT_WINDOW_S = 1.0
@@ -312,8 +313,6 @@ class TailReader:
         self._offsets: dict[Path, int] = {}
 
     def poll(self) -> list[tuple[str, dict]]:
-        import json
-
         fresh: list[tuple[str, dict]] = []
         for path in telemetry_files(self.directory):
             offset = self._offsets.get(path, 0)
@@ -330,14 +329,7 @@ class TailReader:
             if end < 0:
                 continue
             self._offsets[path] = offset + end + 1
-            for line in chunk[: end + 1].splitlines():
-                text = line.decode(errors="replace").strip()
-                if not text:
-                    continue
-                try:
-                    blob = json.loads(text)
-                except json.JSONDecodeError:
-                    continue  # torn mid-file line (crash artifact)
-                if isinstance(blob, dict):
-                    fresh.append((path.stem, blob))
+            # a torn mid-file line (crash artifact) is skipped
+            records, _damaged = decode_lines(chunk[: end + 1])
+            fresh.extend((path.stem, blob) for blob in records)
         return fresh

@@ -29,8 +29,6 @@ experiments that happen to share a label.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -49,6 +47,7 @@ from repro.service.client import (
     ServiceError,
 )
 from repro.telemetry.bus import bus
+from repro.util.jsonlog import digest
 
 if TYPE_CHECKING:  # avoid the runner <-> source import cycle
     from repro.experiments.runner import ExperimentSetup
@@ -99,14 +98,11 @@ def config_key(app: "Application", setup: "ExperimentSetup") -> ConfigKey:
     faults = plan_fingerprint(setup.fault_plan)
     if faults is not None:
         blob["faults"] = faults
-    digest = hashlib.sha256(
-        json.dumps(blob, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
     return ConfigKey(
         experiment=experiment_key(
             app.name, setup.spec.name, setup.cap_w, app.workload
         ),
-        digest=digest,
+        digest=digest(blob),
     )
 
 

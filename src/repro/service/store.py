@@ -7,13 +7,15 @@ Layout (``root`` is the daemon's ``--store`` directory)::
         quarantine/<shard>.<k>               # corrupt shards, kept for
                                              # post-mortem, never read
 
-Each shard is an append-only JSONL log (the :class:`~repro.
-experiments.journal.SweepJournal` recipe) whose lines are
-schema-stamped **and checksummed**: a torn tail from a crash mid-write
-*or* a bit flipped anywhere in the file is detected per line, the
-offending shard is quarantined (renamed aside, preserved for
-inspection), every line that still validates is salvaged into a fresh
-shard, and the other shards are never touched.  Within a shard the
+Each shard is an append-only JSONL log whose lines are schema-stamped
+**and checksummed** (:func:`~repro.util.jsonlog.digest` of the key and
+payload).  It is not a :class:`~repro.util.jsonlog.JsonLog`: a journal
+only ever loses its torn tail, while a shard must survive damage
+anywhere, so it keeps its own recovery policy.  A torn tail from a
+crash mid-write *or* a bit flipped anywhere in the file is detected
+per line, the offending shard is quarantined (renamed aside, preserved
+for inspection), every line that still validates is salvaged into a
+fresh shard, and the other shards are never touched.  Within a shard the
 last line for a key wins, so an update is just another append -
 compaction happens on :meth:`close`.
 
@@ -35,6 +37,7 @@ from pathlib import Path
 
 from repro.telemetry.bus import bus
 from repro.util.atomicio import atomic_write_text
+from repro.util.jsonlog import digest
 
 #: bump when the entry line layout changes; mismatched lines are
 #: treated as corrupt (quarantined + salvaged), never silently mixed.
@@ -52,10 +55,7 @@ DEFAULT_WRITE_BEHIND = 64
 
 
 def _line_checksum(key: str, payload: dict) -> str:
-    blob = json.dumps(
-        [key, payload], sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return digest([key, payload], 12)
 
 
 @dataclass
@@ -121,8 +121,7 @@ class ServiceStore:
     # paths / sharding
     # ------------------------------------------------------------------
     def shard_index(self, key: str) -> int:
-        digest = hashlib.sha256(key.encode()).digest()
-        return digest[0] % self.shards
+        return hashlib.sha256(key.encode()).digest()[0] % self.shards
 
     def shard_path(self, index: int) -> Path:
         return self.root / f"shard-{index:02d}.jsonl"

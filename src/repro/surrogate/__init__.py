@@ -8,10 +8,9 @@ space so a tuning run measures only the most promising configurations:
 * :mod:`repro.surrogate.corpus` - fold cached results / journals /
   telemetry into tidy ``(region features, config, cap) -> time``
   training records with schema stamps and provenance;
-* :mod:`repro.surrogate.model`  - feature-hashed ridge regression with
-  optional tiny-MLP refinement (pure numpy, seeded, byte-
-  deterministic), save/load via :mod:`repro.util.atomicio`, plus a
-  held-out fit-quality report;
+* :mod:`repro.surrogate.model`  - feature-hashed ridge regression
+  (pure numpy, seeded, byte-deterministic), save/load via
+  :mod:`repro.util.atomicio`, plus a held-out fit-quality report;
 * :mod:`repro.surrogate.plan`   - runner glue: per-region ranked probe
   orders for the ``surrogate`` search strategy, and the Nelder-Mead
   fallback decision when the fit cannot be trusted;

@@ -37,6 +37,7 @@ from repro.experiments.runner import StrategyRunResult
 from repro.faults.inject import FaultInjector
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.util.atomicio import atomic_write_text
+from repro.util.jsonlog import read_jsonl
 
 #: bump when the training-record layout changes; mismatched corpus
 #: files refuse to load (the corpus is cheap to re-extract).
@@ -258,33 +259,25 @@ def fold_journal(
 ) -> list[TrainingRecord]:
     """Fold the completed cells of one sweep journal.
 
-    Read-only (unlike :meth:`SweepJournal.load`, which truncates torn
-    tails in place): a fold must never mutate the sweep's own recovery
-    log.  Records from mismatched schema versions are skipped and
-    counted - never raised mid-fold - so journals spanning a schema
-    upgrade still contribute every line they can.
+    Read-only (:func:`~repro.util.jsonlog.read_jsonl`): a fold must
+    never mutate the sweep's own recovery log.  Records from
+    mismatched schema versions are skipped and counted - never raised
+    mid-fold - so journals spanning a schema upgrade still contribute
+    every line they can.
     """
     path = Path(path)
     records: list[TrainingRecord] = []
     try:
-        data = path.read_bytes()
+        lines, damaged = read_jsonl(path)
     except OSError:
         stats.note(f"unreadable journal {path.name}; skipped")
         return records
     stats.files += 1
-    for raw in data.splitlines():
-        line = raw.decode(errors="replace").strip()
-        if not line:
-            continue
-        try:
-            blob = json.loads(line)
-        except json.JSONDecodeError:
-            stats.skipped_damaged += 1
-            stats.note(
-                f"torn/corrupt journal line in {path.name}; skipped"
-            )
-            continue
-        if not isinstance(blob, dict) or blob.get("kind") == "header":
+    if damaged:
+        stats.skipped_damaged += damaged
+        stats.note(f"torn/corrupt journal line in {path.name}; skipped")
+    for blob in lines:
+        if blob.get("kind") == "header":
             continue
         if blob.get("schema") != JOURNAL_SCHEMA_VERSION:
             stats.skipped_schema += 1
@@ -345,24 +338,15 @@ def fold_telemetry_file(
     path = Path(path)
     records: list[TrainingRecord] = []
     try:
-        lines = path.read_text(errors="replace").splitlines()
+        lines, damaged = read_jsonl(path)
     except OSError:
         stats.note(f"unreadable telemetry file {path.name}; skipped")
         return records
     stats.files += 1
+    stats.skipped_damaged += damaged
     app = machine = None
     applied: dict[str, tuple[OMPConfig, float | None]] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            blob = json.loads(line)
-        except json.JSONDecodeError:
-            stats.skipped_damaged += 1
-            continue
-        if not isinstance(blob, dict):
-            continue
+    for blob in lines:
         attrs = blob.get("attrs")
         if not isinstance(attrs, dict):
             continue

@@ -16,6 +16,8 @@ import os
 import weakref
 from pathlib import Path
 
+from repro.util import jsonlog
+
 #: Records buffered before a write+fsync batch.  Each fsync costs
 #: ~0.5 ms; at per-invocation record rates a small batch dominates the
 #: telemetry overhead budget.  A crash loses at most one batch - and
@@ -87,19 +89,9 @@ class JsonlSink:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """Records from one JSONL file, tolerating a torn final line (a
-    killed run may die mid-write; everything before the tear is good)."""
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break  # torn tail - keep the prefix
-    return records
+    """Records from one JSONL file; a torn line (a killed run may die
+    mid-write) is skipped."""
+    return jsonlog.read_jsonl(path)[0]
 
 
 def telemetry_files(directory: str | Path) -> list[Path]:

@@ -165,6 +165,20 @@ class TestDiskSources:
     def test_journal_records_missing_file(self, tmp_path):
         assert journal_records(tmp_path / "nope.jsonl") == []
 
+    def test_journal_records_leave_a_torn_journal_untouched(
+        self, tmp_path
+    ):
+        # the sweep may still be writing the journal: a read must
+        # never truncate it
+        journal = SweepJournal(tmp_path / "journal.jsonl")
+        journal.append("aaa", "TDP/default", result("default", 5.0))
+        with open(journal.path, "a") as handle:
+            handle.write('{"schema":1,"digest":"bbb","res')
+        before = journal.path.read_bytes()
+        rows = journal_records(journal.path)
+        assert journal.path.read_bytes() == before
+        assert [r["digest"] for r in rows] == ["aaa"]
+
     def test_telemetry_records_flattening(self, tmp_path):
         lines = [
             {"kind": "event", "name": "cap_change",

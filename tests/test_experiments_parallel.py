@@ -340,16 +340,14 @@ class TestJournalHeader:
         assert journal.read_header() == {"sweep": "abc123"}
 
     def test_executor_refuses_foreign_journal(self, tmp_path):
-        from repro.experiments.journal import (
-            JournalHeaderMismatchError,
-        )
+        from repro.util.jsonlog import JournalMismatchError
 
         journal = self._journal(tmp_path)
         tasks = [_task(strategy="default", seed=0)]
         ParallelSweepExecutor(journal=journal).run(tasks)
         other = [_task(strategy="default", seed=1)]
         with pytest.raises(
-            JournalHeaderMismatchError, match="seeds"
+            JournalMismatchError, match="seeds"
         ):
             ParallelSweepExecutor(
                 journal=journal, resume=True
@@ -364,13 +362,33 @@ class TestJournalHeader:
         ).run([_task(strategy="default", seed=0)])
         assert result_to_json(resumed[0]) == result_to_json(first[0])
 
-    def test_legacy_journal_resumes_without_complaint(self, tmp_path):
-        # pre-header journals must stay resumable (no header = no check)
+    def test_legacy_journal_is_refused(self, tmp_path):
+        # a non-empty journal without a header cannot prove which
+        # sweep wrote it, so resuming into it is refused
+        from repro.util.jsonlog import JournalMismatchError
+
         journal = self._journal(tmp_path)
         task = _task()
         digest = ParallelSweepExecutor._digest(task)
         journal.append(digest, task.label, run_sweep_task(task))
-        results = ParallelSweepExecutor(
-            journal=journal, resume=True
-        ).run([_task()])
-        assert results[0] is not None
+        with pytest.raises(JournalMismatchError, match="no sweep header"):
+            ParallelSweepExecutor(journal=journal, resume=True).run(
+                [_task()]
+            )
+
+    def test_fresh_resume_writes_header(self, tmp_path):
+        # the regression: a --resume sweep on a missing journal wrote
+        # cells but no header, so a later sweep with another seed
+        # resumed into it unrefused
+        from repro.util.jsonlog import JournalMismatchError
+
+        journal = self._journal(tmp_path)
+        tasks = [_task(strategy="default", seed=0)]
+        ParallelSweepExecutor(journal=journal, resume=True).run(tasks)
+        assert journal.read_header() == ParallelSweepExecutor._header(
+            tasks
+        )
+        with pytest.raises(JournalMismatchError, match="seeds"):
+            ParallelSweepExecutor(journal=journal, resume=True).run(
+                [_task(strategy="default", seed=1)]
+            )

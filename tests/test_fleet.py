@@ -29,7 +29,6 @@ from repro.fleet import (
     BudgetAllocator,
     BudgetInvariantError,
     FleetJournal,
-    FleetJournalMismatchError,
     FleetNodeSpec,
     FleetPlan,
     FleetPlanError,
@@ -48,6 +47,7 @@ from repro.fleet.events import (
     FAULT_DEGRADATIONS,
     FleetEvent,
 )
+from repro.util.jsonlog import JournalMismatchError
 
 _EPS = 1e-6
 
@@ -207,7 +207,7 @@ class TestChaos:
     ):
         _plan, journal, _result = crash_run
         other = synthesize_fleet(4, seed=99, max_steps=80)
-        with pytest.raises(FleetJournalMismatchError, match="plan"):
+        with pytest.raises(JournalMismatchError, match="plan"):
             FleetSimulation(
                 other, crash_faults, journal=journal, resume=True
             ).run()
@@ -540,22 +540,22 @@ class TestFleetJournal:
         # the torn bytes are gone: appends land on an intact prefix
         assert not journal.path.read_text().rstrip().endswith('"st')
 
-    def test_check_header_names_mismatched_keys(self, tmp_path):
+    def test_resume_names_mismatched_keys(self, tmp_path):
         journal = FleetJournal(tmp_path / "fleet.jsonl")
         journal.write_header({"plan": "abc", "seed": 1})
-        journal.check_header({"plan": "abc", "seed": 1})  # ok
+        assert journal.resume({"plan": "abc", "seed": 1}) is None  # ok
         with pytest.raises(
-            FleetJournalMismatchError, match="seed"
+            JournalMismatchError, match="seed"
         ):
-            journal.check_header({"plan": "abc", "seed": 2})
+            journal.resume({"plan": "abc", "seed": 2})
 
     def test_headerless_file_is_refused(self, tmp_path):
         journal = FleetJournal(tmp_path / "fleet.jsonl")
         journal.path.write_text("not json\n")
         with pytest.raises(
-            FleetJournalMismatchError, match="no fleet header"
+            JournalMismatchError, match="no fleet header"
         ):
-            journal.check_header({"plan": "abc"})
+            journal.resume({"plan": "abc"})
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +625,21 @@ class TestFleetRecords:
 
     def test_empty_journal_yields_no_rows(self, tmp_path):
         assert fleet_survival_records(tmp_path / "nope.jsonl") == []
+
+    def test_reading_a_torn_journal_leaves_it_untouched(
+        self, tmp_path, crash_run
+    ):
+        # the reader may run while the fleet is still writing: it must
+        # never truncate a journal it does not own
+        _plan, journal, _result = crash_run
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(
+            journal.path.read_bytes() + b'{"schema":1,"step":99,"sta'
+        )
+        before = torn.read_bytes()
+        rows = fleet_survival_records(torn)
+        assert torn.read_bytes() == before
+        assert rows == fleet_survival_records(journal.path)
 
     def test_capsched_timeline_rows(self, tmp_path):
         records = [

@@ -46,6 +46,7 @@ from repro.surrogate.model import (
     save_model,
 )
 from repro.surrogate.corpus import TrainingRecord
+from repro.surrogate.plan import SurrogateTuning
 from repro.workloads.registry import application_by_name
 
 BOUNDED = settings(
@@ -156,16 +157,6 @@ class TestFitDeterminism:
             tmp / "b.json"
         ).read_bytes()
 
-    @settings(max_examples=3, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    def test_mlp_refinement_is_deterministic(self, corpus, seed):
-        a = fit_surrogate(corpus, seed=seed, mlp=True)
-        b = fit_surrogate(corpus, seed=seed, mlp=True)
-        assert a.mlp is not None and b.mlp is not None
-        for pa, pb in zip(a.mlp[:3], b.mlp[:3]):
-            assert (pa == pb).all()
-        assert a.mlp[3] == b.mlp[3]
-
 
 class TestPredictionFiniteness:
     @BOUNDED
@@ -225,15 +216,12 @@ class TestTopKRecall:
 
 class TestPersistenceRoundTrip:
     @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        mlp=st.booleans(),
-    )
+    @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_save_load_predict_round_trips_bytes(
-        self, corpus, tmp_path_factory, seed, mlp
+        self, corpus, tmp_path_factory, seed
     ):
         tmp = tmp_path_factory.mktemp("roundtrip")
-        fitted = fit_surrogate(corpus, seed=seed, mlp=mlp)
+        fitted = fit_surrogate(corpus, seed=seed)
         save_model(fitted, tmp / "m.json")
         loaded = load_model(tmp / "m.json")
         save_model(loaded, tmp / "m2.json")
@@ -332,3 +320,16 @@ class TestLoadErrors:
         path.write_text(json.dumps(blob))
         with pytest.raises(SurrogateError, match="corrupt"):
             load_model(path)
+
+    def test_model_with_mlp_params_is_refused(self, tmp_path, corpus):
+        # files fitted with the removed tiny-MLP refinement must not
+        # load as plain ridge models (predictions would silently change)
+        path = tmp_path / "mlp.json"
+        save_model(fit_surrogate(corpus[:40], seed=0), path)
+        blob = json.loads(path.read_text())
+        blob["mlp"] = {"w1": [[0.0]], "b1": [0.0], "w2": [0.0], "b2": 0.0}
+        path.write_text(json.dumps(blob))
+        with pytest.raises(SurrogateError, match="MLP"):
+            load_model(path)
+        tuning = SurrogateTuning.load(path)
+        assert "MLP" in (tuning.fallback_reason() or "")
