@@ -32,6 +32,11 @@ value, so repeated probes across Harmony restarts, cap-schedule
 re-tunes, fresh runtimes, and sweep cells hit the memo regardless of
 which engine instance computed the record first.
 
+It also keeps the process-wide memo of measurement-noise factors (see
+:func:`noise_factor`), drawn in blocks of :data:`NOISE_BLOCK` call
+indices.  Unlike the evaluation memo it does not depend on batching
+being enabled; :func:`clear_memo` empties both.
+
 Batching is a pure pre-computation: it fills caches with records the
 scalar path would have produced, and ``ExecutionEngine.execute`` stays
 the only side-effecting sequencing point (clock advance, energy
@@ -43,6 +48,7 @@ CLI ``--no-batch`` escape hatch; results are identical either way.
 from __future__ import annotations
 
 import os
+from array import array
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,7 +57,7 @@ from repro.openmp.records import RegionExecutionRecord
 from repro.openmp.region import RegionProfile
 from repro.openmp.schedule import chunk_bounds
 from repro.openmp.types import OMPConfig
-from repro.util.rng import rng_for
+from repro.util.rng import normal_block, rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openmp.engine import ExecutionEngine
@@ -65,10 +71,19 @@ NO_BATCH_ENV = "REPRO_NO_BATCH"
 #: (a full Table-I space x 13 regions x 5 caps is ~10k records).
 MEMO_LIMIT = 65536
 
+#: noise factors are drawn this many call indices at a time, in blocks
+#: aligned on the index (block b holds indices b*NOISE_BLOCK onwards).
+NOISE_BLOCK = 128
+
+#: bound on the noise memo, in blocks (1 MiB of factors; one LULESH-45
+#: run fills about 25).
+NOISE_MEMO_BLOCKS = 1024
+
 _enabled: bool = not os.environ.get(NO_BATCH_ENV)
 _memo: dict[tuple, RegionExecutionRecord] = {}
 _memo_hits: int = 0
 _memo_misses: int = 0
+_noise: dict[tuple[int, float, int], array] = {}
 
 
 def batching_enabled() -> bool:
@@ -130,10 +145,40 @@ def memo_stats() -> dict[str, int]:
 
 
 def clear_memo() -> None:
+    """Empty the evaluation memo and the noise memo."""
     global _memo_hits, _memo_misses
     _memo.clear()
     _memo_hits = 0
     _memo_misses = 0
+    _noise.clear()
+
+
+def noise_factor(seed: int, sigma: float, call_index: int) -> float:
+    """The multiplicative noise of a runtime's ``call_index``-th region
+    call: ``max(1 + rng_for(seed, "noise", call_index).normal(0, sigma),
+    1)``, a pure function of its three arguments.
+
+    Factors are drawn a whole aligned block at a time and memoized, so
+    the runs of a sweep, which share runtime seeds across cells,
+    strategies and caps, draw each block once; a runtime restored at
+    any index draws only the block holding it."""
+    block, offset = divmod(call_index, NOISE_BLOCK)
+    key = (seed, sigma, block)
+    factors = _noise.get(key)
+    if factors is None:
+        first = block * NOISE_BLOCK
+        factors = array("d", [
+            max(1.0 + z, 1.0)
+            for z in normal_block(
+                seed, "noise",
+                indices=range(first, first + NOISE_BLOCK),
+                sigma=sigma,
+            )
+        ])
+        if len(_noise) >= NOISE_MEMO_BLOCKS:
+            _noise.pop(next(iter(_noise)))  # FIFO, like the record memo
+        _noise[key] = factors
+    return factors[offset]
 
 
 class BatchEvaluator:

@@ -30,9 +30,9 @@ class OmptEvent(Enum):
     SYNC_REGION_BARRIER = "ompt_event_sync_region_barrier"
 
 
-#: per-event dispatch counter names, precomputed because dispatch runs
-#: five times per region invocation - formatting them inline shows up
-#: in the telemetry overhead budget.
+#: per-event dispatch counter names, precomputed because five events
+#: fire per region invocation - formatting them inline shows up in the
+#: telemetry overhead budget.
 _DISPATCH_COUNTERS = {
     event: f"ompt.dispatch.{event.name.lower()}" for event in OmptEvent
 }
@@ -100,6 +100,16 @@ class OmptInterface:
         not in use' design objective)."""
         return any(self._callbacks.values())
 
+    def subscribed(self, events: tuple[OmptEvent, ...]) -> bool:
+        """True if a callback is registered for any of ``events``."""
+        # scan the (few) registrations instead of hashing each event:
+        # Enum hashing is a Python-level call, and this runs per region
+        return any(
+            callbacks
+            for event, callbacks in self._callbacks.items()
+            if callbacks and event in events
+        )
+
     def new_parallel_id(self) -> int:
         pid = self._next_parallel_id
         self._next_parallel_id += 1
@@ -112,3 +122,12 @@ class OmptInterface:
             tb.count(_DISPATCH_COUNTERS[event])
         for callback in self._callbacks.get(event, ()):
             callback(payload)
+
+    def count_dispatches(self, events: tuple[OmptEvent, ...]) -> None:
+        """The telemetry of dispatching ``events`` to no callback, for
+        a runtime that skips building payloads nobody subscribes to."""
+        tb = bus()
+        if tb.enabled:
+            for event in events:
+                tb.count("ompt.dispatch")
+                tb.count(_DISPATCH_COUNTERS[event])

@@ -11,9 +11,8 @@ times for this reason).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.machine.node import SimulatedNode
+from repro.openmp import batch as _batch
 from repro.openmp.barrier import TeamCosts
 from repro.openmp.engine import ExecutionEngine
 from repro.openmp.ompt import (
@@ -27,7 +26,6 @@ from repro.openmp.records import RegionExecutionRecord
 from repro.openmp.region import RegionProfile
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.telemetry.bus import bus
-from repro.util.rng import rng_for
 from repro.util.validation import require_nonnegative
 
 #: cost of one omp_set_num_threads / omp_set_schedule call.  Two calls
@@ -39,6 +37,14 @@ CONFIG_CALL_OVERHEAD_S = 0.4e-3
 #: cost of one userspace DVFS write (sysfs scaling_max_freq) - the
 #: future-work DVFS dimension pays this per frequency change.
 DVFS_WRITE_OVERHEAD_S = 60.0e-6
+
+#: the aggregate events fired after every region (TAU-style profiling
+#: consumes them; APEX does not).
+_AGGREGATE_EVENTS = (
+    OmptEvent.IMPLICIT_TASK,
+    OmptEvent.WORK_LOOP,
+    OmptEvent.SYNC_REGION_BARRIER,
+)
 
 
 class OpenMPRuntime:
@@ -260,9 +266,8 @@ class OpenMPRuntime:
         self._call_index += 1
         if self.noise_sigma == 0.0:
             return record
-        rng = rng_for(self.seed, "noise", self._call_index)
-        factor = float(
-            max(1.0 + rng.normal(0.0, self.noise_sigma), 1.0)
+        factor = _batch.noise_factor(
+            self.seed, self.noise_sigma, self._call_index
         )
         if factor == 1.0:
             return record
@@ -274,22 +279,36 @@ class OpenMPRuntime:
         for socket in range(sockets):
             self.node.deposit_energy(socket, per_socket)
             self.node.deposit_dram_energy(socket, dram_per_socket)
-        return dataclasses.replace(
-            record,
+        return RegionExecutionRecord(
+            region_name=record.region_name,
+            config=record.config,
             time_s=record.time_s * factor,
             loop_time_s=record.loop_time_s * factor,
+            serial_time_s=record.serial_time_s,
+            fork_join_s=record.fork_join_s,
             barrier_wait_total_s=record.barrier_wait_total_s * factor,
             barrier_wait_max_s=record.barrier_wait_max_s * factor,
             thread_busy_s=tuple(
                 t * factor for t in record.thread_busy_s
             ),
             energy_j=record.energy_j * factor,
+            avg_power_w=record.avg_power_w,
+            frequencies_ghz=record.frequencies_ghz,
+            l1_miss_rate=record.l1_miss_rate,
+            l2_miss_rate=record.l2_miss_rate,
+            l3_miss_rate=record.l3_miss_rate,
+            dram_bytes=record.dram_bytes,
+            dispatch_overhead_s=record.dispatch_overhead_s,
             dram_energy_j=record.dram_energy_j * factor,
         )
 
     def _dispatch_aggregates(
         self, name: str, parallel_id: int, record: RegionExecutionRecord
     ) -> None:
+        if not self.ompt.subscribed(_AGGREGATE_EVENTS):
+            # no tool consumes them: count the events, build nothing
+            self.ompt.count_dispatches(_AGGREGATE_EVENTS)
+            return
         n = record.config.n_threads
         mean_busy = sum(record.thread_busy_s) / n
         self.ompt.dispatch(

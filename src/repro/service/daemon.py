@@ -16,9 +16,13 @@ Failure discipline:
   injected equivalent of the server dying mid-write, which the client
   must survive by falling back a tier;
 * shutdown - the ``shutdown`` op, ``SIGINT``/``SIGTERM``, or
-  :meth:`ConfigServiceDaemon.stop` - flushes the write-behind buffer
-  with fsync before the process exits, so acknowledged writes are
-  durable.
+  :meth:`ConfigServiceDaemon.stop` - drains the connections (tenants
+  waiting for their next request are closed, a request in flight is
+  answered first, all within :data:`DRAIN_TIMEOUT_S`), then flushes
+  the write-behind buffer with fsync before the process exits, so
+  acknowledged writes are durable.  Handlers end on their own instead
+  of being cancelled by the closing loop, whose stream callback would
+  report the cancellation as an unhandled exception.
 
 :class:`ThreadedDaemon` runs the same daemon on a background thread
 with its own loop - the harness tests, the stress benchmark and the
@@ -42,6 +46,9 @@ from repro.util.log import get_logger
 
 log = get_logger("service.daemon")
 
+#: bound on how long shutdown waits for connection handlers to finish.
+DRAIN_TIMEOUT_S = 5.0
+
 
 class ConfigServiceDaemon:
     """The server: a :class:`ServiceStore` behind an asyncio socket."""
@@ -63,6 +70,10 @@ class ConfigServiceDaemon:
         self.injected_crashes = 0
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
+        #: running connection handlers, and the writers of those
+        #: waiting for their tenant's next request line.
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
 
     # ------------------------------------------------------------------
     @property
@@ -91,6 +102,12 @@ class ConfigServiceDaemon:
         assert self._server is not None and self._stopping is not None
         async with self._server:
             await self._stopping.wait()
+            for writer in list(self._idle):
+                writer.close()  # the handler reads EOF and ends
+            if self._handlers:
+                await asyncio.wait(
+                    list(self._handlers), timeout=DRAIN_TIMEOUT_S
+                )
         self.store.close()
         log.info("service daemon stopped", requests=self.requests)
 
@@ -105,12 +122,17 @@ class ConfigServiceDaemon:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._stopping.is_set():
+                self._idle.add(writer)
                 try:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.LimitOverrunError):
                     break
+                finally:
+                    self._idle.discard(writer)
                 if not line:
                     break
                 if len(line) > protocol.MAX_LINE_BYTES:
@@ -138,6 +160,7 @@ class ConfigServiceDaemon:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            self._handlers.discard(task)
 
     def _dispatch(self, op: str, blob: dict) -> tuple[dict, bool]:
         self.requests += 1

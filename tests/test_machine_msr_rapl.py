@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine.msr import (
+    MSR_DRAM_ENERGY_STATUS,
     MSR_PKG_ENERGY_STATUS,
     MSR_PKG_POWER_LIMIT,
     MSR_RAPL_POWER_UNIT,
     MsrFile,
 )
-from repro.machine.rapl import Rapl
+from repro.machine.rapl import Rapl, RaplDomain
 from repro.machine.spec import crill, minotaur
 
 
@@ -129,3 +136,113 @@ class TestRaplEnergyCounters:
     def test_negative_deposit_rejected(self, rapl):
         with pytest.raises(ValueError):
             rapl.deposit_energy(0, -1.0, now_s=0.0)
+
+
+_UNIT_J = 1.0 / 65536
+_ENERGY_STATUS = {
+    RaplDomain.PACKAGE: MSR_PKG_ENERGY_STATUS,
+    RaplDomain.DRAM: MSR_DRAM_ENERGY_STATUS,
+}
+
+# one deposit: (socket draw, domain, joules, time step).  Joules range
+# past a whole counter span (65536 J) so sequences wrap the counters.
+_deposits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),
+        st.sampled_from(list(RaplDomain)),
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=70000.0),
+        ),
+        st.floats(min_value=0.0, max_value=0.004),
+    ),
+    max_size=40,
+)
+
+
+def _fresh_rapl(sockets: int) -> Rapl:
+    spec = dataclasses.replace(crill(), sockets=sockets)
+    return Rapl(spec, MsrFile(sockets=sockets))
+
+
+def _replay(rapl: Rapl, deposits, now_s: float) -> float:
+    sockets = rapl.spec.sockets
+    for socket, domain, joules, step in deposits:
+        now_s += step
+        rapl.deposit_energy(socket % sockets, joules, now_s, domain)
+    return now_s
+
+
+def _readings(rapl: Rapl) -> list[float]:
+    return [
+        read(socket)
+        for read in (rapl.read_package_energy_j, rapl.read_dram_energy_j)
+        for socket in range(rapl.spec.sockets)
+    ]
+
+
+class TestRaplEnergyConservation:
+    """Every deposited joule reaches the counters: after a final flush
+    each (domain, socket) counter reads the sum of its deposits to
+    within one energy unit, however the deposits fall across update
+    intervals and 32-bit wraps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sockets=st.integers(min_value=1, max_value=2),
+        offsets=st.lists(
+            st.integers(min_value=0, max_value=(1 << 32) - 1),
+            min_size=4, max_size=4,
+        ),
+        deposits=_deposits,
+    )
+    def test_counters_read_the_summed_deposits(
+        self, sockets, offsets, deposits
+    ):
+        rapl = _fresh_rapl(sockets)
+        # start each counter at a random raw value (often just below
+        # the top) so the deposits force 32-bit wraps
+        expected: dict[tuple[RaplDomain, int], list[float]] = {}
+        for d, domain in enumerate(RaplDomain):
+            for socket in range(sockets):
+                offset = offsets[2 * d + socket]
+                rapl.msr.bump_counter(
+                    socket, _ENERGY_STATUS[domain], offset
+                )
+                expected[(domain, socket)] = [offset * _UNIT_J]
+        for socket, domain, joules, _ in deposits:
+            expected[(domain, socket % sockets)].append(joules)
+        now_s = _replay(rapl, deposits, 0.0)
+        rapl.force_update(now_s)
+        for (domain, socket), parts in expected.items():
+            read = (
+                rapl.read_package_energy_j
+                if domain is RaplDomain.PACKAGE
+                else rapl.read_dram_energy_j
+            )
+            total = math.fsum(parts)
+            assert read(socket) == pytest.approx(
+                total, abs=_UNIT_J * (1 + 1e-6)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sockets=st.integers(min_value=1, max_value=2),
+        head=_deposits,
+        tail=_deposits,
+    )
+    def test_snapshot_restore_mid_sequence(self, sockets, head, tail):
+        original = _fresh_rapl(sockets)
+        now_s = _replay(original, head, 0.0)
+        blob = json.loads(json.dumps({
+            "msr": original.msr.snapshot(),
+            "rapl": original.snapshot(),
+        }))
+        restored = _fresh_rapl(sockets)
+        restored.msr.restore(blob["msr"])
+        restored.restore(blob["rapl"])
+        end_s = _replay(original, tail, now_s)
+        assert _replay(restored, tail, now_s) == end_s
+        original.force_update(end_s)
+        restored.force_update(end_s)
+        assert _readings(restored) == _readings(original)

@@ -11,6 +11,7 @@ measurement.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 
 import pytest
@@ -217,6 +218,27 @@ class TestDaemonClient:
             assert not td._thread.is_alive()
         # the write-behind buffer was flushed+fsynced before exit
         assert ServiceStore(tmp_path / "store").get("k") == {"v": 1}
+
+    def test_stop_with_idle_tenant_reports_no_loop_error(
+        self, tmp_path, caplog
+    ):
+        """Shutdown cancels the handler of a tenant that is connected
+        but silent; the cancellation must end the handler quietly, not
+        reach asyncio's exception handler as a traceback."""
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        td = ThreadedDaemon(tmp_path / "store").start()
+        with socket.create_connection(td.address, timeout=5.0) as s:
+            # one answered ping: the handler is then waiting on this
+            # tenant's next line when the daemon stops
+            s.sendall(protocol.encode(protocol.request("ping")))
+            assert protocol.decode(s.makefile("rb").readline())["ok"]
+            td.stop()
+        assert not td.running
+        errors = [
+            record for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------

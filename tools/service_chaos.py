@@ -15,8 +15,10 @@ short sweep three ways:
    daemon; offline cells may skip tuning via service hits, but
    everything except ``tuning_runs`` must still match.
 
-The run fails (exit 1) on any divergence or on any unhandled error
-out of a sweep cell.  With ``--telemetry-dir`` the faulted passes run
+The run fails (exit 1) on any divergence, on any unhandled error out
+of a sweep cell, or on any error the daemon's event loop reports -
+including at shutdown, which it reaches with one tenant still
+connected and idle.  With ``--telemetry-dir`` the faulted passes run
 under the telemetry bus, so the JSONL timeline of every fallback /
 breaker / retry decision ships as a CI artifact.
 
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
+import socket
 import tempfile
 import time
 from pathlib import Path
@@ -38,6 +42,7 @@ from repro.experiments.cache import result_to_json
 from repro.experiments.figures import power_sweep
 from repro.faults.plan import load_fault_plan
 from repro.machine.spec import machine_by_name
+from repro.service import protocol
 from repro.service.daemon import ThreadedDaemon
 from repro.telemetry import JsonlSink, TelemetryBus, install
 from repro.util.log import configure, get_logger
@@ -73,6 +78,27 @@ def _service_notes(sweep) -> int:
         for d in result.degradations
         if d.startswith(_NOTE_PREFIX)
     )
+
+
+class _LoopErrors(logging.Handler):
+    """Counts the error reports of asyncio's logger: exceptions that
+    escaped a callback or task of the daemon's event loop."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.count = 0
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.count += 1
+
+
+def _idle_tenant(address: tuple[str, int]) -> socket.socket:
+    """A connection that has been answered once and then goes silent,
+    so the daemon's handler is waiting on it when the daemon stops."""
+    conn = socket.create_connection(address, timeout=5.0)
+    conn.sendall(protocol.encode(protocol.request("ping")))
+    conn.makefile("rb").readline()
+    return conn
 
 
 def _run_sweep(app, spec, caps, args, *, service=None, telemetry=None):
@@ -157,6 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     baseline = _run_sweep(app, spec, caps, args)
     expected = _canonical(baseline)
 
+    loop_errors = _LoopErrors()
+    asyncio_log = logging.getLogger("asyncio")
+    asyncio_log.addHandler(loop_errors)
+    idle = None
     try:
         with tempfile.TemporaryDirectory() as tmp:
             with ThreadedDaemon(
@@ -204,9 +234,19 @@ def main(argv: list[str] | None = None) -> int:
                 # risking one last faulted network round-trip
                 requests = td.daemon.requests
                 store_stats = td.daemon.store.stats_json()
+                idle = _idle_tenant(td.address)
+            if loop_errors.count:
+                raise AssertionError(
+                    f"the daemon's event loop reported "
+                    f"{loop_errors.count} error(s)"
+                )
     except AssertionError as exc:
         log.error("service chaos FAIL", reason=str(exc))
         return 1
+    finally:
+        asyncio_log.removeHandler(loop_errors)
+        if idle is not None:
+            idle.close()
 
     log.info(
         "service chaos OK",
