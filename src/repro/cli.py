@@ -12,7 +12,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,15 +47,14 @@ from repro.experiments.runner import (
 )
 from repro.faults.inject import make_injector
 from repro.faults.plan import FaultPlan, FaultPlanError, load_fault_plan
-from repro.obs.monitor import monitor_follow, monitor_once
+from repro.obs.aggregate import StreamAggregator
+from repro.obs.monitor import monitor_follow, monitor_once, render_metrics
 from repro.obs.profile import (
     DEFAULT_INTERVAL_S,
     DEFAULT_TOP,
     render_profile,
 )
-from repro.obs.slo import SloConfigError
 from repro.obs.trace import render_trace_tree, root_context
-from repro.openmp.batch import NO_BATCH_ENV, set_batching
 from repro.supervise import RunAbortedError
 from repro.experiments.tables import table1_search_space
 from repro.machine.spec import machine_by_name
@@ -68,7 +66,6 @@ from repro.telemetry import (
     install,
     load_telemetry_dir,
     render_decision_timeline,
-    render_metrics_summary,
 )
 from repro.util.jsonlog import JournalMismatchError
 from repro.util.log import LEVELS as _LOG_LEVELS
@@ -78,6 +75,10 @@ from repro.workloads.registry import application_by_name
 
 _STRATEGIES = ("default", "arcs-online", "arcs-offline", "surrogate")
 _APPS = ("sp", "bt", "lulesh", "synthetic")
+
+#: what every subcommand handler returns: the text to print (``None``
+#: prints nothing) and the process exit code.
+Outcome = tuple[str | None, int]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,12 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list applications, machines, strategies")
+    sub.add_parser(
+        "list", help="list applications, machines, strategies"
+    ).set_defaults(handler=_cmd_list)
 
     space = sub.add_parser(
         "search-space", help="print the Table I search parameters"
     )
     space.add_argument("--machine", default="crill")
+    space.set_defaults(handler=_cmd_search_space)
 
     run = sub.add_parser(
         "run", help="run one (app, machine, cap, strategy) measurement"
@@ -133,10 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record the run's full event/metric stream "
                           "as telemetry.jsonl plus a Perfetto-loadable "
                           "trace.json under DIR")
-    run.add_argument("--no-batch", action="store_true",
-                     help="disable batched configuration evaluation "
-                          "(results are byte-identical either way; "
-                          "escape hatch for debugging)")
     run.add_argument("--service", default=None, metavar="HOST:PORT",
                      help="tuning-service daemon consulted before "
                           "fresh tuning (arcs-offline only); results "
@@ -162,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="serve model-predicted configurations when "
                           "every tuned-knowledge tier misses (offline "
                           "strategies; needs --surrogate-model)")
+    run.set_defaults(handler=_cmd_run)
 
     sweep = sub.add_parser(
         "sweep",
@@ -205,16 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
              "merged trace.json",
     )
     sweep.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched configuration evaluation in every cell "
-             "(including worker processes)",
-    )
-    sweep.add_argument(
         "--service", default=None, metavar="HOST:PORT",
         help="tuning-service daemon shared by the offline cells; "
              "tuned configs are fetched from / published to it, with "
              "local fallback on any failure",
     )
+    sweep.set_defaults(handler=_cmd_sweep)
 
     fleet = sub.add_parser(
         "fleet",
@@ -273,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tuning fan-out width (default: min(8, cores); forced "
              "serial under --telemetry for byte-identical logs)",
     )
+    fleet_run.set_defaults(handler=_cmd_fleet_run)
 
     serve = sub.add_parser(
         "serve",
@@ -300,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
              "serve spans with adopted client trace context) as "
              "daemon.jsonl under DIR",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     figures = sub.add_parser(
         "figures",
@@ -342,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(one subdirectory per commit, sorted = oldest first); "
              "required by the bench_trend figure",
     )
+    figures.set_defaults(handler=_cmd_figures)
 
     analysis = sub.add_parser(
         "analysis",
@@ -363,6 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative tolerance before a worse-direction move counts "
              f"as a regression (default: {DEFAULT_TOLERANCE})",
     )
+    compare.set_defaults(handler=_cmd_analysis_compare)
 
     surrogate = sub.add_parser(
         "surrogate",
@@ -408,10 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan arming the surrogate.corpus / surrogate.fit "
              "sites (chaos testing)",
     )
+    fit.set_defaults(handler=_cmd_surrogate_fit)
     srep = surrogate_sub.add_parser(
         "report", help="print a saved model's fit-quality report"
     )
     srep.add_argument("model", metavar="MODEL.JSON")
+    srep.set_defaults(handler=_cmd_surrogate_report)
 
     trace = sub.add_parser(
         "trace",
@@ -428,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
              "context parent/child links) instead of the per-region "
              "decision timeline",
     )
+    trace.set_defaults(handler=_cmd_trace)
 
     monitor = sub.add_parser(
         "monitor",
@@ -462,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-polls", type=int, default=None, metavar="N",
         help="--follow: stop after N polls (default: until Ctrl-C)",
     )
+    monitor.set_defaults(handler=_cmd_monitor)
 
     profile = sub.add_parser(
         "profile",
@@ -480,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=DEFAULT_TOP,
         help=f"hot paths shown (default: {DEFAULT_TOP})",
     )
+    profile.set_defaults(handler=_cmd_profile)
 
     report = sub.add_parser(
         "report", help="summarize a recorded run's telemetry"
@@ -488,6 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", required=True, metavar="DIR",
         help="directory written by run/sweep --telemetry",
     )
+    report.set_defaults(handler=_cmd_report)
     return parser
 
 
@@ -515,7 +522,23 @@ def _telemetry_session(directory: str, filename: str, **meta):
         export_chrome_trace(out)
 
 
-def _cmd_list() -> str:
+@contextmanager
+def _user_errors(*errors: type[Exception]):
+    """Report the library's own refusal (a bad input file, argument or
+    directory) as one ``error:`` line and exit 1, not a traceback."""
+    try:
+        yield
+    except errors as exc:
+        raise SystemExit(f"error: {exc}") from exc
+
+
+#: what reading a telemetry directory refuses with: a missing or
+#: non-directory path, an empty directory, or a bad argument or rule
+#: file for the fold.
+_TELEMETRY_ERRORS = (FileNotFoundError, NotADirectoryError, ValueError)
+
+
+def _cmd_list(args: argparse.Namespace) -> Outcome:
     rows = [
         ("applications", ", ".join(_APPS)),
         ("workloads", "sp/bt: B, C; lulesh: 45, 60"),
@@ -524,42 +547,30 @@ def _cmd_list() -> str:
         ("power levels (crill)",
          ", ".join(f"{c:g}W" for c in CRILL_POWER_LEVELS)),
     ]
-    return format_table(("what", "values"), rows)
+    return format_table(("what", "values"), rows), 0
 
 
-def _cmd_search_space(args: argparse.Namespace) -> str:
+def _cmd_search_space(args: argparse.Namespace) -> Outcome:
     # validates the machine name as a side effect
     machine_by_name(args.machine)
-    return render_table1(table1_search_space())
+    return render_table1(table1_search_space()), 0
 
 
 def _load_faults(path: str | None) -> FaultPlan | None:
     if path is None:
         return None
-    try:
+    # load_fault_plan wraps file errors, but keep OSError here too so
+    # an unanticipated filesystem failure still surfaces as one
+    # actionable line instead of a traceback.
+    with _user_errors(FaultPlanError, OSError):
         return load_fault_plan(path)
-    except (FaultPlanError, OSError) as exc:
-        # load_fault_plan wraps file errors, but keep OSError here too
-        # so an unanticipated filesystem failure still surfaces as one
-        # actionable line instead of a traceback.
-        raise SystemExit(f"error: {exc}") from exc
 
 
 def _load_capsched(path: str | None) -> CapSchedule | None:
     if path is None:
         return None
-    try:
+    with _user_errors(CapScheduleError, OSError):
         return load_cap_schedule(path)
-    except (CapScheduleError, OSError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
-
-
-def _apply_no_batch(args: argparse.Namespace) -> None:
-    """Honour ``--no-batch``: flip the process-wide switch and export
-    the env var so forked sweep workers inherit the choice."""
-    if getattr(args, "no_batch", False):
-        os.environ[NO_BATCH_ENV] = "1"
-        set_batching(False)
 
 
 def _service_chain(
@@ -573,31 +584,26 @@ def _service_chain(
         return None
     from repro.service.source import default_chain
 
-    try:
+    # ValueError: a malformed host:port string
+    with _user_errors(ValueError):
         return default_chain(
             address,
             faults=make_injector(fault_plan, salt="service-client"),
             deadline_s=deadline_s,
         )
-    except ValueError as exc:
-        # a malformed host:port string
-        raise SystemExit(f"error: {exc}") from exc
 
 
-def _cmd_run(args: argparse.Namespace) -> str:
-    _apply_no_batch(args)
+def _cmd_run(args: argparse.Namespace) -> Outcome:
     spec = machine_by_name(args.machine)
     app = application_by_name(args.app, args.workload)
-    try:
+    # e.g. --cap on a machine without capping privilege, or --repeats
+    # 0: refuse loudly instead of mis-reporting.
+    with _user_errors(ValueError):
         setup = ExperimentSetup(
             spec=spec, cap_w=args.cap, repeats=args.repeats,
             seed=args.seed, fault_plan=_load_faults(args.faults),
             cap_schedule=_load_capsched(args.cap_schedule),
         )
-    except ValueError as exc:
-        # e.g. --cap on a machine without capping privilege, or
-        # --repeats 0: refuse loudly instead of mis-reporting.
-        raise SystemExit(f"error: {exc}") from exc
     history = HistoryStore(args.history) if args.history else None
     source = _service_chain(
         args.service, setup.fault_plan, args.service_deadline
@@ -662,7 +668,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 )
             raise
 
-    try:
+    # CheckpointError: an unreadable / mismatched checkpoint;
+    # ValueError: e.g. --checkpoint with a non-online strategy.
+    with _user_errors(CheckpointError, RunAbortedError, ValueError):
         if args.telemetry:
             with _telemetry_session(
                 args.telemetry, "telemetry.jsonl",
@@ -673,14 +681,6 @@ def _cmd_run(args: argparse.Namespace) -> str:
                 result = _execute()
         else:
             result = _execute()
-    except CheckpointError as exc:
-        # unreadable / mismatched checkpoint: actionable, not a bug
-        raise SystemExit(f"error: {exc}") from exc
-    except RunAbortedError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    except ValueError as exc:
-        # e.g. --checkpoint with a non-online strategy
-        raise SystemExit(f"error: {exc}") from exc
     cap = "TDP" if args.cap is None else f"{args.cap:g}W"
     lines = [
         f"{app.label} on {spec.name} @ {cap}, {args.strategy} "
@@ -711,11 +711,10 @@ def _cmd_run(args: argparse.Namespace) -> str:
         lines.extend(
             f"    - {note}" for note in result.degradations
         )
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
-    _apply_no_batch(args)
+def _cmd_sweep(args: argparse.Namespace) -> Outcome:
     spec = machine_by_name(args.machine)
     app = application_by_name(args.app, args.workload)
     caps = (
@@ -750,7 +749,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             service=args.service,
         )
 
-    try:
+    with _user_errors(JournalMismatchError):
         if args.telemetry:
             with _telemetry_session(
                 args.telemetry, "sweep.jsonl",
@@ -761,8 +760,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 sweep = _run_sweep()
         else:
             sweep = _run_sweep()
-    except JournalMismatchError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     lines = [
         render_sweep(
             sweep, f"{app.label} on {spec.name}: strategy comparison"
@@ -783,10 +780,10 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
             f"[cache] {cache.stats.hits} hit(s), "
             f"{cache.stats.misses} miss(es) under {cache.root}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> str:
+def _cmd_fleet_run(args: argparse.Namespace) -> Outcome:
     from repro.fleet import (
         FleetJournal,
         FleetPlanError,
@@ -796,7 +793,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         synthesize_fleet,
     )
 
-    try:
+    with _user_errors(FleetPlanError):
         if args.plan is not None:
             plan = load_fleet_plan(args.plan)
         else:
@@ -806,8 +803,6 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 seed=args.seed,
                 max_steps=args.max_steps,
             )
-    except FleetPlanError as exc:
-        raise SystemExit(f"error: {exc}") from exc
     if args.resume and args.journal is None:
         raise SystemExit("error: --resume requires --journal")
     if args.concurrency is not None and args.concurrency < 1:
@@ -821,7 +816,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
         resume=args.resume,
         concurrency=args.concurrency,
     )
-    try:
+    with _user_errors(JournalMismatchError):
         if args.telemetry:
             with _telemetry_session(
                 args.telemetry, "fleet.jsonl",
@@ -831,12 +826,10 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
                 result = sim.run()
         else:
             result = sim.run()
-    except JournalMismatchError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    return render_fleet(result)
+    return render_fleet(result), 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace) -> Outcome:
     """Run the tuning-service daemon until shutdown/Ctrl-C."""
     from repro.service.daemon import serve_forever
 
@@ -844,7 +837,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"error: --capacity must be >= 1, got {args.capacity}"
         )
-    try:
+    # OSError: e.g. the port is taken or the host cannot be bound
+    with _user_errors(OSError):
         serve_forever(
             args.store,
             host=args.host,
@@ -853,13 +847,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             telemetry_dir=args.telemetry,
         )
-    except OSError as exc:
-        # e.g. the port is taken or the host cannot be bound
-        raise SystemExit(f"error: {exc}") from exc
-    return 0
+    return None, 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> str:
+def _cmd_figures(args: argparse.Namespace) -> Outcome:
     if args.list_figures:
         rows = []
         from repro.analysis.registry import REGISTRY
@@ -870,7 +861,7 @@ def _cmd_figures(args: argparse.Namespace) -> str:
         return format_table(
             ("name", "kind", "cost", "title"), rows,
             title="Registered figures/tables",
-        )
+        ), 0
     formats = tuple(
         f.strip() for f in args.formats.split(",") if f.strip()
     )
@@ -915,23 +906,15 @@ def _cmd_figures(args: argparse.Namespace) -> str:
     lines.append(
         f"regenerated {len(generated)} artifact(s) under {args.out}"
     )
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
-def _cmd_analysis(args: argparse.Namespace) -> tuple[str, int]:
-    # only one analysis subcommand today; keep the dispatch explicit
-    # so the next one (e.g. `analysis trend`) slots in cleanly.
-    if args.analysis_command == "compare":
-        try:
-            report = compare_dirs(
-                args.old, args.new, tolerance=args.tolerance
-            )
-        except (FileNotFoundError, ValueError) as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        return render_comparison(report), (0 if report.ok else 1)
-    raise SystemExit(
-        f"error: unknown analysis command {args.analysis_command!r}"
-    )
+def _cmd_analysis_compare(args: argparse.Namespace) -> Outcome:
+    with _user_errors(FileNotFoundError, ValueError):
+        report = compare_dirs(
+            args.old, args.new, tolerance=args.tolerance
+        )
+    return render_comparison(report), (0 if report.ok else 1)
 
 
 def _render_fit_report(report) -> str:
@@ -958,29 +941,27 @@ def _render_fit_report(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_surrogate(args: argparse.Namespace) -> str:
+def _cmd_surrogate_report(args: argparse.Namespace) -> Outcome:
+    from repro.surrogate import SurrogateError, load_model
+
+    with _user_errors(SurrogateError):
+        model = load_model(args.model)
+    return _render_fit_report(model.report), 0
+
+
+def _cmd_surrogate_fit(args: argparse.Namespace) -> Outcome:
     import json as _json
 
     from repro.surrogate import (
         CorpusStats,
-        SurrogateError,
         fit_surrogate,
         fold_cache_dir,
         fold_journal,
         fold_telemetry_dir,
-        load_model,
         save_corpus,
         save_model,
     )
 
-    if args.surrogate_command == "report":
-        try:
-            model = load_model(args.model)
-        except SurrogateError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        return _render_fit_report(model.report)
-
-    # fit
     if not (args.cache_dir or args.journal or args.telemetry):
         raise SystemExit(
             "error: nothing to fold - pass at least one of "
@@ -1030,98 +1011,58 @@ def _cmd_surrogate(args: argparse.Namespace) -> str:
         )
         lines.append(f"fit report saved to {args.report}")
     lines.append(f"model saved to {args.out}")
-    return "\n".join(lines)
+    return "\n".join(lines), 0
 
 
 def _load_telemetry(directory: str):
-    try:
+    with _user_errors(*_TELEMETRY_ERRORS):
         return load_telemetry_dir(directory)
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
-def _cmd_trace(args: argparse.Namespace) -> str:
+def _cmd_trace(args: argparse.Namespace) -> Outcome:
     loaded = _load_telemetry(args.dir)
     if args.tree:
-        return render_trace_tree(loaded)
-    return render_decision_timeline(loaded, region=args.region)
+        return render_trace_tree(loaded), 0
+    return render_decision_timeline(loaded, region=args.region), 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> tuple[str, int]:
-    if args.window <= 0:
-        raise SystemExit(
-            f"error: --window must be > 0, got {args.window}"
-        )
-    try:
+def _cmd_monitor(args: argparse.Namespace) -> Outcome:
+    with _user_errors(*_TELEMETRY_ERRORS):
         if args.follow:
             code = monitor_follow(
                 args.dir, args.slo,
                 window_s=args.window, top_k=args.top,
                 interval_s=args.interval, max_polls=args.max_polls,
             )
-            return "", code
+            return None, code
         return monitor_once(
             args.dir, args.slo, window_s=args.window, top_k=args.top
         )
-    except SloConfigError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
 
-def _cmd_profile(args: argparse.Namespace) -> str:
-    if args.interval <= 0:
-        raise SystemExit(
-            f"error: --interval must be > 0, got {args.interval}"
-        )
-    try:
+def _cmd_profile(args: argparse.Namespace) -> Outcome:
+    with _user_errors(*_TELEMETRY_ERRORS):
         return render_profile(
             args.dir, interval_s=args.interval, top=args.top
-        )
-    except (FileNotFoundError, NotADirectoryError) as exc:
-        raise SystemExit(f"error: {exc}") from exc
+        ), 0
 
 
-def _cmd_report(args: argparse.Namespace) -> str:
-    return render_metrics_summary(_load_telemetry(args.telemetry))
+def _cmd_report(args: argparse.Namespace) -> Outcome:
+    loaded = _load_telemetry(args.telemetry)
+    return render_metrics(StreamAggregator().consume_loaded(loaded)), 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Parse ``argv`` and run the ``handler`` that
+    :func:`build_parser` binds on every leaf subcommand; print its
+    :data:`Outcome` text and return its exit code."""
     args = build_parser().parse_args(argv)
     if args.log_level:
         configure_logging(level=args.log_level)
-    if args.command == "list":
-        print(_cmd_list())
-    elif args.command == "search-space":
-        print(_cmd_search_space(args))
-    elif args.command == "run":
-        print(_cmd_run(args))
-    elif args.command == "sweep":
-        print(_cmd_sweep(args))
-    elif args.command == "fleet":
-        print(_cmd_fleet(args))
-    elif args.command == "serve":
-        return _cmd_serve(args)
-    elif args.command == "figures":
-        print(_cmd_figures(args))
-    elif args.command == "analysis":
-        text, code = _cmd_analysis(args)
+    text, code = args.handler(args)
+    if text is not None:
         print(text)
-        return code
-    elif args.command == "surrogate":
-        print(_cmd_surrogate(args))
-    elif args.command == "trace":
-        print(_cmd_trace(args))
-    elif args.command == "monitor":
-        text, code = _cmd_monitor(args)
-        if text:
-            print(text)
-        return code
-    elif args.command == "profile":
-        print(_cmd_profile(args))
-    elif args.command == "report":
-        print(_cmd_report(args))
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,6 @@ class ARCS:
         cap_aware: bool = False,
         objective: str = "time",
         seed: int = 0,
-        batch: bool | None = None,
         source: "ConfigSource | None" = None,
         source_key: "ConfigKey | None" = None,
         surrogate_orders: (
@@ -59,27 +58,11 @@ class ARCS:
                 raise ValueError(
                     "replay mode needs a history store and key"
                 )
-            if (
-                source is not None
-                and source_key is not None
-                and not history.has(history_key)
-            ):
-                # replay with an empty local history: ask the chain
-                # (remote service -> warm memo) before giving up.  A
-                # chain miss or failure degrades to the usual
-                # HistoryKeyMissing from history.load below.
-                entry = source.lookup(source_key)
-                if entry is not None:
-                    configs_, values_ = entry
-                    history.save(
-                        history_key,
-                        configs_,
-                        {
-                            r: v
-                            for r, v in values_.items()
-                            if v is not None
-                        },
-                    )
+            # replay with an empty local history: ask the chain
+            # (remote service -> warm memo) before giving up.  A chain
+            # miss or failure degrades to the usual HistoryKeyMissing
+            # from history.load below.
+            history.warm_from(history_key, source, source_key)
             replay_configs: dict[str, OMPConfig] | None = history.load(
                 history_key
             )
@@ -102,7 +85,6 @@ class ARCS:
             cap_aware=cap_aware,
             objective=objective,
             seed=seed,
-            batch=batch,
             surrogate_orders=surrogate_orders,
         )
         self._attached = False

@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.openmp.types import OMPConfig, ScheduleKind
 from repro.util.atomicio import atomic_write_text
+
+if TYPE_CHECKING:
+    from repro.service.source import ConfigKey, ConfigSource
 
 
 class HistoryKeyMissing(KeyError):
@@ -106,7 +110,7 @@ class HistoryStore:
         self,
         key: str,
         configs: dict[str, OMPConfig],
-        values: dict[str, float] | None = None,
+        values: dict[str, float | None] | None = None,
     ) -> None:
         """Record best configs for experiment ``key`` and persist."""
         values = values or {}
@@ -115,6 +119,21 @@ class HistoryStore:
             for region, cfg in configs.items()
         }
         self._persist()
+
+    def warm_from(
+        self,
+        key: str,
+        source: ConfigSource | None,
+        source_key: ConfigKey | None,
+    ) -> None:
+        """Fill a missing ``key`` from a config-source chain lookup
+        (remote service, then warm memo, ...).  A chain miss or tier
+        failure leaves the store unchanged."""
+        if source is None or self.has(key):
+            return
+        entry = source.lookup(source_key)
+        if entry is not None:
+            self.save(key, *entry)
 
     def load(self, key: str) -> dict[str, OMPConfig]:
         """Best configs per region for ``key``

@@ -125,7 +125,6 @@ class ArcsPolicy(Policy):
         cap_aware: bool = False,
         objective: str = "time",
         seed: int = 0,
-        batch: bool | None = None,
         surrogate_orders: (
             dict[str, tuple[tuple[int, ...], ...]] | None
         ) = None,
@@ -158,10 +157,6 @@ class ArcsPolicy(Policy):
         #: trusting configurations tuned for the old level.
         self.cap_aware = cap_aware
         self.seed = seed
-        #: batched-prefetch hinting: ``True``/``False`` force it on or
-        #: off for this policy; ``None`` follows the process-wide
-        #: :func:`repro.openmp.batch.batching_enabled` switch.
-        self.batch = batch
         #: model-ranked probe orders per region (base region name, no
         #: cap suffix), consumed by the ``"surrogate"`` strategy; a
         #: region with no order searches with Nelder-Mead instead (the
@@ -250,7 +245,7 @@ class ArcsPolicy(Policy):
             )
             return
 
-        if self._batching() and (
+        if batching_enabled() and (
             state.hinted_restarts != state.session.stats.restarts
         ):
             state.hinted_restarts = state.session.stats.restarts
@@ -357,11 +352,6 @@ class ArcsPolicy(Policy):
 
     def _default_config(self) -> OMPConfig:
         return default_config(self.runtime.node.spec.total_hw_threads)
-
-    def _batching(self) -> bool:
-        if self.batch is not None:
-            return self.batch
-        return batching_enabled()
 
     def _hint_probes(
         self, region_name: str, session: TuningSession

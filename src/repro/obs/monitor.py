@@ -10,6 +10,8 @@ an SLO rule file, and renders:
 * the top-k slowest spans.
 
 The exit code is the CI contract: 0 when no rule fired, 1 otherwise.
+:func:`render_metrics` is ``repro report``: the same fold's counters,
+gauges and series as one table.
 
 ``--follow`` mode re-renders on a cadence from a
 :class:`~repro.obs.aggregate.TailReader`, folding only records
@@ -68,6 +70,36 @@ def render_report(
         lines.append("")
         lines.append(_slow_table(slow))
     return "\n".join(lines) + "\n"
+
+
+def render_metrics(agg: StreamAggregator) -> str:
+    """The aggregator's counters, gauges and sample series as one
+    table (``repro report``): flushed metrics plus the derived
+    ``events.<name>`` counts and ``span.*``/value series that the
+    monitor and the SLO rules read."""
+    rows: list[list[object]] = []
+    for name in sorted(agg.counters):
+        rows.append(["counter", name, f"{agg.counters[name]:g}", "", ""])
+    for name in sorted(agg.gauges):
+        rows.append(["gauge", name, f"{agg.gauges[name]:g}", "", ""])
+    for name in sorted(agg.samples):
+        hist = agg.samples[name]
+        rows.append(
+            [
+                "histogram",
+                name,
+                f"n={hist.count} mean={hist.mean:.6g}",
+                "-" if hist.min is None else f"{hist.min:.6g}",
+                "-" if hist.max is None else f"{hist.max:.6g}",
+            ]
+        )
+    if not rows:
+        return "(no metrics recorded)"
+    return format_table(
+        ["kind", "name", "value", "min", "max"],
+        rows,
+        title="telemetry metrics",
+    )
 
 
 def _layer_table(agg: StreamAggregator) -> str:

@@ -40,14 +40,14 @@ being enabled; :func:`clear_memo` empties both.
 Batching is a pure pre-computation: it fills caches with records the
 scalar path would have produced, and ``ExecutionEngine.execute`` stays
 the only side-effecting sequencing point (clock advance, energy
-deposits, OMPT event order, measurement noise).  Disable it with the
-``REPRO_NO_BATCH`` environment variable, :func:`set_batching`, or the
-CLI ``--no-batch`` escape hatch; results are identical either way.
+deposits, OMPT event order, measurement noise).  :func:`set_batching`
+selects the scalar reference path (the differential tests and the
+search-space benchmark compare against it); results are identical
+either way.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING
 
@@ -62,11 +62,6 @@ from repro.util.rng import normal_block, rng_for
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.openmp.engine import ExecutionEngine
 
-#: set to a non-empty value to disable batched evaluation process-wide
-#: (the CLI's ``--no-batch`` sets it so sweep worker processes inherit
-#: the choice).
-NO_BATCH_ENV = "REPRO_NO_BATCH"
-
 #: bound on the process-wide memo; far above one sweep's working set
 #: (a full Table-I space x 13 regions x 5 caps is ~10k records).
 MEMO_LIMIT = 65536
@@ -79,7 +74,7 @@ NOISE_BLOCK = 128
 #: run fills about 25).
 NOISE_MEMO_BLOCKS = 1024
 
-_enabled: bool = not os.environ.get(NO_BATCH_ENV)
+_enabled: bool = True
 _memo: dict[tuple, RegionExecutionRecord] = {}
 _memo_hits: int = 0
 _memo_misses: int = 0
@@ -92,7 +87,8 @@ def batching_enabled() -> bool:
 
 
 def set_batching(enabled: bool) -> None:
-    """Process-wide switch (the ``--no-batch`` escape hatch)."""
+    """Process-wide switch; ``False`` selects the scalar reference
+    path, which tests and benchmarks compare the batched path against."""
     global _enabled
     _enabled = bool(enabled)
 

@@ -197,12 +197,7 @@ class HistorySource(ConfigSource):
         )
 
     def publish(self, key: ConfigKey, entry: Entry) -> None:
-        configs, values = entry
-        self.store.save(
-            key.experiment,
-            configs,
-            {r: v for r, v in values.items() if v is not None},
-        )
+        self.store.save(key.experiment, *entry)
 
 
 #: the process-wide memo tier's backing map (digest -> payload).

@@ -28,11 +28,7 @@ from repro.telemetry.sinks import (
     load_telemetry_dir,
     read_jsonl,
 )
-from repro.telemetry.timeline import (
-    merged_records,
-    render_decision_timeline,
-    render_metrics_summary,
-)
+from repro.telemetry.timeline import merged_records, render_decision_timeline
 
 __all__ = [
     "TelemetryBus",
@@ -46,5 +42,4 @@ __all__ = [
     "merged_records",
     "read_jsonl",
     "render_decision_timeline",
-    "render_metrics_summary",
 ]

@@ -1,4 +1,4 @@
-"""Text rendering of a telemetry log: decision timeline + metrics.
+"""Text rendering of a telemetry log: the decision timeline.
 
 ``render_decision_timeline`` answers the post-mortem question the
 paper's Section V-C analysis needed: *what did the controller see,
@@ -9,8 +9,6 @@ search accepted it, and the power cap in force at the time.
 """
 
 from __future__ import annotations
-
-from repro.util.tables import format_table
 
 #: Event names consumed by the timeline renderer.  Instrumentation and
 #: rendering share this module-level contract.
@@ -33,30 +31,30 @@ TIMELINE_EVENTS = (
 )
 
 
-def merged_records(loaded: list[tuple[str, list[dict]]]) -> list[dict]:
-    """Merge per-file record lists into one (ts, seq)-ordered stream.
+def merged_records(
+    loaded: list[tuple[str, list[dict]]],
+) -> list[tuple[str, dict]]:
+    """Merge per-file record lists into one (ts, file, seq)-ordered
+    stream of ``(stem, record)`` pairs.
 
     Records from different files (sweep cells) interleave by virtual
-    time; the per-file seq breaks ties within a file.  Shared by the
-    timeline renderer and the :mod:`repro.obs` aggregator/profiler.
+    time; the per-file seq breaks ties within a file.  The one merge
+    order shared by the timeline renderer and the :mod:`repro.obs`
+    aggregator.
     """
-    merged: list[tuple[float, int, int, dict]] = []
-    for file_index, (_, records) in enumerate(loaded):
-        for record in records:
-            merged.append(
-                (
-                    float(record.get("ts", 0.0)),
-                    file_index,
-                    int(record.get("seq", 0)),
-                    record,
-                )
-            )
-    merged.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [item[3] for item in merged]
-
-
-#: Backwards-compatible private alias (pre-obs callers).
-_sorted_records = merged_records
+    tagged = [
+        (
+            float(record.get("ts", 0.0)),
+            file_index,
+            int(record.get("seq", 0)),
+            stem,
+            record,
+        )
+        for file_index, (stem, records) in enumerate(loaded)
+        for record in records
+    ]
+    tagged.sort(key=lambda item: item[:3])
+    return [(stem, record) for _, _, _, stem, record in tagged]
 
 
 def render_decision_timeline(
@@ -75,7 +73,7 @@ def render_decision_timeline(
         lines.append("# " + " ".join(parts))
     pending: dict[str, dict] = {}
     n_decisions = 0
-    for record in _sorted_records(loaded):
+    for _, record in merged_records(loaded):
         if record.get("type") != "event":
             continue
         name = record.get("name")
@@ -132,66 +130,3 @@ def _meta_records(loaded: list[tuple[str, list[dict]]]) -> list[dict]:
     for _, records in loaded:
         metas.extend(r for r in records if r.get("type") == "meta")
     return metas
-
-
-def render_metrics_summary(loaded: list[tuple[str, list[dict]]]) -> str:
-    """Aggregated metrics across every file as one ASCII table.
-
-    Counters and histogram counts/sums add across files; gauges keep
-    the last value seen (file order is the deterministic sorted-name
-    order from ``load_telemetry_dir``).
-    """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    hists: dict[str, dict] = {}
-    for _, records in loaded:
-        for record in records:
-            if record.get("type") != "metric":
-                continue
-            kind = record.get("kind")
-            name = record.get("name", "?")
-            if kind == "counter":
-                counters[name] = counters.get(name, 0.0) + float(
-                    record.get("value", 0.0)
-                )
-            elif kind == "gauge":
-                gauges[name] = float(record.get("value", 0.0))
-            elif kind == "histogram":
-                agg = hists.setdefault(
-                    name, {"count": 0, "sum": 0.0, "min": None, "max": None}
-                )
-                agg["count"] += int(record.get("count", 0))
-                agg["sum"] += float(record.get("sum", 0.0))
-                for key, pick in (("min", min), ("max", max)):
-                    value = record.get(key)
-                    if value is None:
-                        continue
-                    agg[key] = (
-                        value
-                        if agg[key] is None
-                        else pick(agg[key], value)
-                    )
-    rows: list[list[object]] = []
-    for name in sorted(counters):
-        rows.append(["counter", name, f"{counters[name]:g}", "", ""])
-    for name in sorted(gauges):
-        rows.append(["gauge", name, f"{gauges[name]:g}", "", ""])
-    for name in sorted(hists):
-        agg = hists[name]
-        mean = agg["sum"] / agg["count"] if agg["count"] else 0.0
-        rows.append(
-            [
-                "histogram",
-                name,
-                f"n={agg['count']} mean={mean:.6g}",
-                "-" if agg["min"] is None else f"{agg['min']:.6g}",
-                "-" if agg["max"] is None else f"{agg['max']:.6g}",
-            ]
-        )
-    if not rows:
-        return "(no metrics recorded)"
-    return format_table(
-        ["kind", "name", "value", "min", "max"],
-        rows,
-        title="telemetry metrics",
-    )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,14 +39,22 @@ class TestParser:
         assert args.no_cache is False
         assert args.cache_dir.endswith(".cache")
 
-    def test_no_batch_flag_on_run_and_sweep(self):
-        assert build_parser().parse_args(["run"]).no_batch is False
-        assert build_parser().parse_args(
-            ["run", "--no-batch"]
-        ).no_batch is True
-        assert build_parser().parse_args(
-            ["sweep", "--no-batch"]
-        ).no_batch is True
+    def test_every_leaf_subcommand_has_a_handler(self):
+        def leaves(parser, path=()):
+            subs = [
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            ]
+            if not subs:
+                yield path, parser
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, path + (name,))
+
+        found = dict(leaves(build_parser()))
+        assert len(found) == 14
+        for path, parser in found.items():
+            assert callable(parser.get_default("handler")), path
 
 
 class TestCommands:
@@ -238,6 +249,41 @@ class TestAnalysisCommand:
     def test_compare_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["analysis"])
+
+
+class TestTelemetryCommandErrors:
+    """Arguments the telemetry readers refuse surface as one-line
+    ``error:`` exits, not tracebacks."""
+
+    @staticmethod
+    def _dir(tmp_path):
+        directory = tmp_path / "tel"
+        directory.mkdir()
+        (directory / "telemetry.jsonl").write_text(
+            json.dumps({"type": "meta", "ts": 0.0, "seq": 0, "attrs": {}})
+            + "\n"
+        )
+        return directory
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["monitor", "{dir}", "--window", "0"], "window"),
+            (["profile", "{dir}", "--interval", "0"], "interval"),
+            (["report", "--telemetry", "{missing}"], "nope"),
+        ],
+    )
+    def test_one_line_error(self, tmp_path, argv, needle):
+        fill = {
+            "dir": str(self._dir(tmp_path)),
+            "missing": str(tmp_path / "nope"),
+        }
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**fill) for arg in argv])
+        message = str(err.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        assert needle in message
 
 
 def write_capsched(tmp_path, after=30, cap_w=55.0):

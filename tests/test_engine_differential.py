@@ -35,8 +35,8 @@ from repro.workloads.synthetic import synthetic_application
 
 @pytest.fixture(autouse=True)
 def _batching_on():
-    """Run with batching enabled and an isolated memo, regardless of
-    the environment the suite was launched in."""
+    """Run with batching enabled and an isolated memo, whatever an
+    earlier test left the process-wide switch at."""
     was = batch.batching_enabled()
     batch.set_batching(True)
     batch.clear_memo()
@@ -252,9 +252,9 @@ class TestEndToEndByteIdentity:
 
         assert run(True) == run(False)
 
-    def test_explicit_batch_flag_overrides_global(self, monkeypatch):
-        """batch=False on the runner suppresses prefetch hinting even
-        while the process-wide switch is on - and results stay
+    def test_scalar_switch_skips_batch_evaluator(self, monkeypatch):
+        """set_batching(False) selects the scalar reference path: the
+        batched evaluator is never called, and results stay
         identical."""
         app = synthetic_application(timesteps=6)
         setup = ExperimentSetup(
@@ -270,16 +270,14 @@ class TestEndToEndByteIdentity:
         monkeypatch.setattr(
             batch.BatchEvaluator, "evaluate", counting_evaluate
         )
+        batch.set_batching(False)
         batch.clear_memo()
-        forced_off = run_strategy(
-            "arcs-online", app, setup, batch=False
-        )
+        scalar = run_strategy("arcs-online", app, setup)
         assert not calls
+        batch.set_batching(True)
         batch.clear_memo()
-        forced_on = run_strategy(
-            "arcs-online", app, setup, batch=True
-        )
+        batched = run_strategy("arcs-online", app, setup)
         assert calls
         assert json.dumps(
-            result_to_json(forced_off), sort_keys=True
-        ) == json.dumps(result_to_json(forced_on), sort_keys=True)
+            result_to_json(scalar), sort_keys=True
+        ) == json.dumps(result_to_json(batched), sort_keys=True)

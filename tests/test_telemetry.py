@@ -18,6 +18,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentSetup, run_arcs_online
 from repro.machine.spec import crill
+from repro.obs.aggregate import StreamAggregator
+from repro.obs.monitor import render_metrics
 from repro.supervise import RunAbortedError
 from repro.telemetry import (
     FlightRecorder,
@@ -30,7 +32,6 @@ from repro.telemetry import (
     load_telemetry_dir,
     read_jsonl,
     render_decision_timeline,
-    render_metrics_summary,
 )
 from repro.workloads.synthetic import synthetic_application
 
@@ -329,10 +330,56 @@ class TestRendering:
         assert not any(f" {other}:" in text for other in others)
 
     def test_metrics_summary_table(self, tmp_path):
-        text = render_metrics_summary(self._loaded(tmp_path))
+        agg = StreamAggregator().consume_loaded(self._loaded(tmp_path))
+        text = render_metrics(agg)
         assert "policy.applies" in text
         assert "counter" in text
         assert "histogram" in text
+        # the derived rows the monitor and SLO rules see are listed too
+        assert "events.policy.apply" in text
+
+    def test_report_rows_match_metric_records(self, tmp_path):
+        """Rows that come from flushed metric records carry exactly
+        the totals of those records (counters summed, histogram
+        count/sum/min/max merged)."""
+        loaded = self._loaded(tmp_path)
+        counters: dict[str, float] = {}
+        hists: dict[str, list] = {}
+        for _, records in loaded:
+            for r in records:
+                if r.get("type") != "metric":
+                    continue
+                if r["kind"] == "counter":
+                    counters[r["name"]] = (
+                        counters.get(r["name"], 0.0) + r["value"]
+                    )
+                elif r["kind"] == "histogram":
+                    n, total, lo, hi = hists.get(
+                        r["name"], [0, 0.0, None, None]
+                    )
+                    hists[r["name"]] = [
+                        n + r["count"],
+                        total + r["sum"],
+                        r["min"] if lo is None else min(lo, r["min"]),
+                        r["max"] if hi is None else max(hi, r["max"]),
+                    ]
+        assert counters and hists
+        rows = {}
+        text = render_metrics(StreamAggregator().consume_loaded(loaded))
+        for line in text.splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 5:
+                rows[cells[1]] = cells
+        for name, total in counters.items():
+            assert rows[name] == ["counter", name, f"{total:g}", "", ""]
+        for name, (n, total, lo, hi) in hists.items():
+            assert rows[name] == [
+                "histogram",
+                name,
+                f"n={n} mean={total / n:.6g}",
+                f"{lo:.6g}",
+                f"{hi:.6g}",
+            ]
 
 
 # ---------------------------------------------------------------------------
