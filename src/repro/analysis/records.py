@@ -451,33 +451,6 @@ def service_hit_rate_records(
     return rows
 
 
-def surrogate_corpus_records(source) -> list[Record]:
-    """Flat rows of a surrogate training corpus.
-
-    ``source`` is either a corpus file path (as written by
-    ``repro surrogate fit --corpus`` /
-    :func:`repro.surrogate.corpus.save_corpus`) or an iterable of
-    :class:`~repro.surrogate.corpus.TrainingRecord`\\ s.  Training
-    records are already flat scalar cells, so they pass through the
-    backends unchanged.
-    """
-    if isinstance(source, (str, Path)):
-        from repro.surrogate.corpus import load_corpus
-
-        records, _stats = load_corpus(source)
-    else:
-        records = list(source)
-    return [r.to_json() for r in records]
-
-
-def surrogate_fit_records(report) -> list[Record]:
-    """One-row table of a surrogate fit-quality report (corpus notes
-    are counted rather than inlined - they are free-text, not cells)."""
-    blob = report.to_json()
-    blob["corpus_notes"] = len(blob.pop("corpus_notes"))
-    return [blob]
-
-
 def bench_trend_records(bench_dir: str | Path) -> list[Record]:
     """BENCH metric trends across a directory of snapshots.
 

@@ -34,7 +34,7 @@ from repro.core.capschedule import (
     load_cap_schedule,
 )
 from repro.core.checkpoint import CheckpointError
-from repro.core.history import HistoryStore
+from repro.core.history import CorruptHistoryError, HistoryStore
 from repro.experiments.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.experiments.figures import power_sweep
 from repro.experiments.journal import SweepJournal
@@ -552,24 +552,22 @@ def _cmd_list(args: argparse.Namespace) -> Outcome:
 
 def _cmd_search_space(args: argparse.Namespace) -> Outcome:
     # validates the machine name as a side effect
-    machine_by_name(args.machine)
+    with _user_errors(ValueError):
+        machine_by_name(args.machine)
     return render_table1(table1_search_space()), 0
 
 
 def _load_faults(path: str | None) -> FaultPlan | None:
     if path is None:
         return None
-    # load_fault_plan wraps file errors, but keep OSError here too so
-    # an unanticipated filesystem failure still surfaces as one
-    # actionable line instead of a traceback.
-    with _user_errors(FaultPlanError, OSError):
+    with _user_errors(FaultPlanError):
         return load_fault_plan(path)
 
 
 def _load_capsched(path: str | None) -> CapSchedule | None:
     if path is None:
         return None
-    with _user_errors(CapScheduleError, OSError):
+    with _user_errors(CapScheduleError):
         return load_cap_schedule(path)
 
 
@@ -594,17 +592,19 @@ def _service_chain(
 
 
 def _cmd_run(args: argparse.Namespace) -> Outcome:
-    spec = machine_by_name(args.machine)
-    app = application_by_name(args.app, args.workload)
-    # e.g. --cap on a machine without capping privilege, or --repeats
-    # 0: refuse loudly instead of mis-reporting.
+    # e.g. an unknown --machine or --workload, --cap on a machine
+    # without capping privilege, or --repeats 0: refuse loudly
+    # instead of mis-reporting.
     with _user_errors(ValueError):
+        spec = machine_by_name(args.machine)
+        app = application_by_name(args.app, args.workload)
         setup = ExperimentSetup(
             spec=spec, cap_w=args.cap, repeats=args.repeats,
             seed=args.seed, fault_plan=_load_faults(args.faults),
             cap_schedule=_load_capsched(args.cap_schedule),
         )
-    history = HistoryStore(args.history) if args.history else None
+    with _user_errors(CorruptHistoryError):
+        history = HistoryStore(args.history) if args.history else None
     source = _service_chain(
         args.service, setup.fault_plan, args.service_deadline
     )
@@ -669,8 +669,11 @@ def _cmd_run(args: argparse.Namespace) -> Outcome:
             raise
 
     # CheckpointError: an unreadable / mismatched checkpoint;
+    # CorruptHistoryError: a malformed --history entry;
     # ValueError: e.g. --checkpoint with a non-online strategy.
-    with _user_errors(CheckpointError, RunAbortedError, ValueError):
+    with _user_errors(
+        CheckpointError, CorruptHistoryError, RunAbortedError, ValueError
+    ):
         if args.telemetry:
             with _telemetry_session(
                 args.telemetry, "telemetry.jsonl",
@@ -715,8 +718,9 @@ def _cmd_run(args: argparse.Namespace) -> Outcome:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Outcome:
-    spec = machine_by_name(args.machine)
-    app = application_by_name(args.app, args.workload)
+    with _user_errors(ValueError):
+        spec = machine_by_name(args.machine)
+        app = application_by_name(args.app, args.workload)
     caps = (
         CRILL_POWER_LEVELS
         if spec.supports_power_cap

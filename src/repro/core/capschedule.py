@@ -28,13 +28,13 @@ tuning sessions on every flip.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.machine.rapl import CapWriteRejectedError
 from repro.openmp.runtime import OpenMPRuntime
 from repro.telemetry.bus import bus
+from repro.util.atomicio import read_json
 from repro.util.jsonlog import digest
 from repro.util.retry import RetryPolicy
 
@@ -118,11 +118,6 @@ class CapSchedule:
 
     @classmethod
     def from_json(cls, blob: dict) -> "CapSchedule":
-        if not isinstance(blob, dict):
-            raise CapScheduleError(
-                f"cap schedule must be a JSON object, got "
-                f"{type(blob).__name__}"
-            )
         unknown = set(blob) - {"hysteresis_invocations", "events"}
         if unknown:
             raise CapScheduleError(
@@ -166,26 +161,21 @@ class CapSchedule:
         return digest(self.to_json(), 16)
 
 
+def schedule_fingerprint(schedule: CapSchedule | None) -> str | None:
+    """:meth:`CapSchedule.fingerprint`, or ``None`` for an absent or
+    empty (static-cap) schedule, so static-cap digests omit the key."""
+    return schedule.fingerprint() if schedule else None
+
+
 def load_cap_schedule(path: str | Path) -> CapSchedule:
     """Load a :class:`CapSchedule` from a JSON file; raises
     :class:`CapScheduleError` naming the path on any problem."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CapScheduleError(
-            f"cannot read cap schedule {path}: {exc}"
-        ) from exc
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CapScheduleError(
-            f"cap schedule {path} is not valid JSON: {exc}"
-        ) from exc
-    try:
-        return CapSchedule.from_json(blob)
-    except CapScheduleError as exc:
-        raise CapScheduleError(f"cap schedule {path}: {exc}") from None
+    return read_json(
+        path,
+        "cap schedule",
+        CapScheduleError,
+        parse=CapSchedule.from_json,
+    )
 
 
 class CapScheduleApplier:

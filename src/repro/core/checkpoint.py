@@ -21,32 +21,12 @@ from repro.core.policy import RegionTuningState
 from repro.apex.profile import TimerStats
 from repro.apex.timers import Timer
 from repro.harmony.session import SessionReplayError
-from repro.openmp.types import OMPConfig, ScheduleKind
+from repro.openmp.types import OMPConfig
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be restored (wrong run, wrong code
     version, or a corrupt/torn file)."""
-
-
-def _config_to_json(config: OMPConfig | None) -> dict | None:
-    if config is None:
-        return None
-    return {
-        "n_threads": config.n_threads,
-        "schedule": config.schedule.value,
-        "chunk": config.chunk,
-    }
-
-
-def _config_from_json(blob: dict | None) -> OMPConfig | None:
-    if blob is None:
-        return None
-    return OMPConfig(
-        n_threads=int(blob["n_threads"]),
-        schedule=ScheduleKind(blob["schedule"]),
-        chunk=None if blob["chunk"] is None else int(blob["chunk"]),
-    )
 
 
 def controller_checkpoint(arcs: ARCS) -> dict:
@@ -65,7 +45,9 @@ def controller_checkpoint(arcs: ARCS) -> dict:
                 if state.session_start is None
                 else list(state.session_start)
             ),
-            "applied": _config_to_json(state.applied),
+            "applied": (
+                None if state.applied is None else state.applied.to_json()
+            ),
             "applied_freq_ghz": state.applied_freq_ghz,
             "skipped": state.skipped,
             "first_elapsed_s": state.first_elapsed_s,
@@ -126,7 +108,11 @@ def restore_controller(arcs: ARCS, blob: dict) -> None:
     policy.regions = {}
     for key, rblob in pblob["regions"].items():
         state = RegionTuningState(
-            applied=_config_from_json(rblob["applied"]),
+            applied=(
+                None
+                if rblob["applied"] is None
+                else OMPConfig.from_json(rblob["applied"])
+            ),
             applied_freq_ghz=rblob["applied_freq_ghz"],
             skipped=bool(rblob["skipped"]),
             first_elapsed_s=rblob["first_elapsed_s"],

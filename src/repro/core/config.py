@@ -109,11 +109,9 @@ def config_from_point(point: dict[str, object]) -> OMPConfig:
 
 def point_from_config(config: OMPConfig) -> dict[str, object]:
     """Inverse of :func:`config_from_point`."""
-    return {
-        "n_threads": config.n_threads,
-        "schedule": config.schedule,
-        "chunk": config.chunk,
-    }
+    point: dict[str, object] = config.to_json()
+    point["schedule"] = config.schedule  # the space holds enum members
+    return point
 
 
 def default_start_point(

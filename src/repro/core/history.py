@@ -16,8 +16,8 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.openmp.types import OMPConfig, ScheduleKind
-from repro.util.atomicio import atomic_write_text
+from repro.openmp.types import OMPConfig
+from repro.util.atomicio import atomic_write_text, read_json
 
 if TYPE_CHECKING:
     from repro.service.source import ConfigKey, ConfigSource
@@ -50,36 +50,30 @@ class HistoryKeyMissing(KeyError):
 class CorruptHistoryError(RuntimeError):
     """A history file on disk exists but does not parse as a history.
 
-    Raised on load instead of a raw :class:`json.JSONDecodeError` so
-    the message names the offending path (a truncated file left behind
-    by a crash used to surface as an inscrutable decode error).
+    Raised on load instead of a raw :class:`json.JSONDecodeError` or a
+    bare ``AttributeError``/``ValueError`` so the message names the
+    offending path (a truncated file left behind by a crash used to
+    surface as an inscrutable decode error).  ``reason`` names the path
+    (and the key, for a malformed entry) itself.
     """
 
-    def __init__(self, path: Path, reason: str) -> None:
+    def __init__(self, path: Path | None, reason: str) -> None:
         self.path = path
-        super().__init__(
-            f"corrupt ARCS history file {path}: {reason}; delete or "
-            "restore it to proceed"
-        )
+        super().__init__(f"{reason}; delete or restore it to proceed")
 
 
-def _config_to_json(config: OMPConfig, value: float | None) -> dict:
-    return {
-        "n_threads": config.n_threads,
-        "schedule": config.schedule.value,
-        "chunk": config.chunk,
-        "value": value,
-    }
+def region_to_json(config: OMPConfig, value: float | None) -> dict:
+    """One region's history entry: its config plus its objective."""
+    return {**config.to_json(), "value": value}
 
 
-def _config_from_json(blob: dict) -> tuple[OMPConfig, float | None]:
-    config = OMPConfig(
-        n_threads=int(blob["n_threads"]),
-        schedule=ScheduleKind(blob["schedule"]),
-        chunk=None if blob["chunk"] is None else int(blob["chunk"]),
-    )
+def region_from_json(blob: dict) -> tuple[OMPConfig, float | None]:
+    """Inverse of :func:`region_to_json`."""
     value = blob.get("value")
-    return config, None if value is None else float(value)
+    return (
+        OMPConfig.from_json(blob),
+        None if value is None else float(value),
+    )
 
 
 class HistoryStore:
@@ -94,16 +88,11 @@ class HistoryStore:
         self.path = None if path is None else Path(path)
         self._data: dict[str, dict[str, dict]] = {}
         if self.path is not None and self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-            except json.JSONDecodeError as exc:
-                raise CorruptHistoryError(self.path, str(exc)) from exc
-            if not isinstance(data, dict):
-                raise CorruptHistoryError(
-                    self.path,
-                    f"expected a JSON object, got {type(data).__name__}",
-                )
-            self._data = data
+            self._data = read_json(
+                self.path,
+                "ARCS history file",
+                lambda reason: CorruptHistoryError(self.path, reason),
+            )
 
     # ------------------------------------------------------------------
     def save(
@@ -115,7 +104,7 @@ class HistoryStore:
         """Record best configs for experiment ``key`` and persist."""
         values = values or {}
         self._data[key] = {
-            region: _config_to_json(cfg, values.get(region))
+            region: region_to_json(cfg, values.get(region))
             for region, cfg in configs.items()
         }
         self._persist()
@@ -138,23 +127,29 @@ class HistoryStore:
     def load(self, key: str) -> dict[str, OMPConfig]:
         """Best configs per region for ``key``
         (:class:`HistoryKeyMissing` if absent)."""
-        try:
-            blob = self._data[key]
-        except KeyError:
-            raise HistoryKeyMissing(
-                key, self.path, tuple(self.keys())
-            ) from None
-        return {
-            region: _config_from_json(entry)[0]
-            for region, entry in blob.items()
-        }
+        if key not in self._data:
+            raise HistoryKeyMissing(key, self.path, tuple(self.keys()))
+        return {r: config for r, (config, _) in self._entry(key).items()}
 
     def load_values(self, key: str) -> dict[str, float | None]:
-        blob = self._data.get(key, {})
-        return {
-            region: _config_from_json(entry)[1]
-            for region, entry in blob.items()
-        }
+        if key not in self._data:
+            return {}
+        return {r: value for r, (_, value) in self._entry(key).items()}
+
+    def _entry(self, key: str) -> dict[str, tuple[OMPConfig, float | None]]:
+        """``key``'s decoded regions; :class:`CorruptHistoryError`
+        naming the path and key if the stored entry is malformed."""
+        try:
+            return {
+                region: region_from_json(blob)
+                for region, blob in self._data[key].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptHistoryError(
+                self.path,
+                f"ARCS history file {self.path}: malformed entry "
+                f"{key!r}: {type(exc).__name__}: {exc}",
+            ) from exc
 
     def has(self, key: str) -> bool:
         return key in self._data

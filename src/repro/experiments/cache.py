@@ -25,17 +25,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.capschedule import schedule_fingerprint
 from repro.experiments.runner import ExperimentSetup, StrategyRunResult
 from repro.experiments.serialize import (
     app_fingerprint,
-    config_from_json as _config_from_json,
-    config_to_json as _config_to_json,
     overhead_from_json as _overhead_from_json,
     overhead_to_json as _overhead_to_json,
     run_from_json as _run_from_json,
     run_to_json as _run_to_json,
 )
 from repro.faults.plan import plan_fingerprint
+from repro.openmp.types import OMPConfig
 from repro.util.atomicio import atomic_write_text
 from repro.util.jsonlog import digest
 from repro.workloads.base import Application
@@ -51,32 +51,11 @@ DEFAULT_CACHE_DIR = Path("results") / ".cache"
 # ---------------------------------------------------------------------------
 # digesting
 # ---------------------------------------------------------------------------
-def _fault_fingerprint(setup: ExperimentSetup) -> str | None:
-    """Fingerprint of the setup's fault plan, or ``None`` for clean
-    setups.  Returning ``None`` (and omitting the key entirely) keeps
-    every pre-existing clean-run digest byte-identical."""
-    return plan_fingerprint(setup.fault_plan)
-
-
-def _capsched_fingerprint(setup: ExperimentSetup) -> str | None:
-    """Fingerprint of the setup's cap schedule, or ``None`` when the
-    cap is static - omitted from digests so pre-existing static-cap
-    digests stay byte-identical."""
-    schedule = setup.cap_schedule
-    if schedule is None or not schedule:
-        return None
-    return schedule.fingerprint()
-
-
-def experiment_digest(
-    app: Application, setup: ExperimentSetup, strategy: str
-) -> str:
-    """Deterministic hex digest identifying one sweep cell.
-
-    Keys every input that influences the measurement: application
-    (name, workload, content fingerprint), machine, power cap,
-    strategy, repeats, seed, noise level and the online search budget.
-    """
+def _identity(app: Application, setup: ExperimentSetup) -> dict:
+    """The tuning context every digest keys on: application (name,
+    workload, content fingerprint), machine, power cap, seed, noise
+    level and, for faulty setups only, the fault plan (omitting the
+    key keeps clean-run digests byte-identical)."""
     key = {
         "schema": CACHE_SCHEMA_VERSION,
         "app": app.name,
@@ -84,19 +63,13 @@ def experiment_digest(
         "fingerprint": app_fingerprint(app),
         "machine": setup.spec.name,
         "cap_w": setup.cap_w,
-        "strategy": strategy,
-        "repeats": setup.repeats,
         "seed": setup.seed,
         "noise_sigma": setup.noise_sigma,
-        "online_max_evals": setup.online_max_evals,
     }
-    faults = _fault_fingerprint(setup)
+    faults = plan_fingerprint(setup.fault_plan)
     if faults is not None:
         key["faults"] = faults
-    capsched = _capsched_fingerprint(setup)
-    if capsched is not None:
-        key["capsched"] = capsched
-    return digest(key)
+    return key
 
 
 def tuning_digest(app: Application, setup: ExperimentSetup) -> str:
@@ -104,31 +77,35 @@ def tuning_digest(app: Application, setup: ExperimentSetup) -> str:
 
     Strategy, repeats and the online budget are deliberately excluded:
     every offline cell of the same experiment context replays the same
-    exhaustive tuning result.
+    exhaustive tuning result.  It is also the config-source chain's
+    content key (:func:`repro.service.source.config_key`).
     """
-    key = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "app": app.name,
-        "workload": app.workload,
-        "fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
-    }
-    faults = _fault_fingerprint(setup)
-    if faults is not None:
-        key["faults"] = faults
+    return digest(_identity(app, setup))
+
+
+def experiment_digest(
+    app: Application, setup: ExperimentSetup, strategy: str
+) -> str:
+    """Deterministic hex digest identifying one sweep cell: the
+    :func:`tuning_digest` context plus strategy, repeats, the online
+    search budget and, for dynamic caps only, the cap schedule."""
+    key = _identity(app, setup)
+    key["strategy"] = strategy
+    key["repeats"] = setup.repeats
+    key["online_max_evals"] = setup.online_max_evals
+    capsched = schedule_fingerprint(setup.cap_schedule)
+    if capsched is not None:
+        key["capsched"] = capsched
     return digest(key)
 
 
 # ---------------------------------------------------------------------------
 # StrategyRunResult <-> JSON
 # ---------------------------------------------------------------------------
-# The sub-object codecs (_config_to_json and friends, imported above)
-# live in repro.experiments.serialize so the run-checkpoint layer can
-# share them; the StrategyRunResult codec stays here because it needs
-# the runner's types and the cache schema version.
+# The sub-object codecs (imported above) live in
+# repro.experiments.serialize so the run-checkpoint layer can share
+# them; the StrategyRunResult codec stays here because it needs the
+# runner's types and the cache schema version.
 def result_to_json(result: StrategyRunResult) -> dict:
     """Full-fidelity JSON form of a result (floats round-trip exactly
     through ``json`` because Python serializes them via ``repr``)."""
@@ -141,7 +118,7 @@ def result_to_json(result: StrategyRunResult) -> dict:
         "energy_j": result.energy_j,
         "runs": [_run_to_json(r) for r in result.runs],
         "chosen_configs": {
-            name: _config_to_json(cfg)
+            name: cfg.to_json()
             for name, cfg in result.chosen_configs.items()
         },
         "overhead": _overhead_to_json(result.overhead),
@@ -161,7 +138,7 @@ def result_from_json(blob: dict) -> StrategyRunResult:
         energy_j=blob["energy_j"],
         runs=tuple(_run_from_json(r) for r in blob["runs"]),
         chosen_configs={
-            name: _config_from_json(cfg)
+            name: OMPConfig.from_json(cfg)
             for name, cfg in blob["chosen_configs"].items()
         },
         overhead=_overhead_from_json(blob["overhead"]),

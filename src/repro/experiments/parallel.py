@@ -547,30 +547,39 @@ class ParallelSweepExecutor:
             )
             try:
                 result = self._attempt_fn(task)(task)
-            except SweepTaskError:
-                # already classified and wrapped (a nested executor, or
-                # a task_fn that raised one directly): re-wrapping here
-                # would bury the original task/attempt/cause a level
-                # deeper, so pass it through untouched.
-                raise
             except _CLASSIFIED_TYPES as exc:
-                if _is_fatal(exc):
-                    raise SweepTaskError(
-                        task, attempt, exc, retryable=False
-                    ) from exc
-                if attempt > self.retries:
-                    raise SweepTaskError(task, attempt, exc) from exc
-                bus().emit(
-                    "sweep.task_retry",
-                    task=task.label,
-                    run_id=task.run_id(),
-                    attempt=attempt,
-                    error=type(exc).__name__,
-                    cause=_cause_name(exc),
-                )
+                self._attempt_failed(task, attempt, exc)
             else:
                 self._record(task, result)
                 return result
+
+    def _attempt_failed(
+        self, task: SweepTask, attempt: int, exc: BaseException
+    ) -> None:
+        """The one failure step of both attempt loops: raise
+        :class:`SweepTaskError` for a fatal failure or the last
+        attempt, else emit ``sweep.task_retry`` and return so the
+        caller retries."""
+        if isinstance(exc, SweepTaskError):
+            # already classified and wrapped (a nested executor, or a
+            # task_fn that raised one directly): re-wrapping here would
+            # bury the original task/attempt/cause a level deeper, so
+            # pass it through untouched.
+            raise exc
+        if _is_fatal(exc):
+            raise SweepTaskError(
+                task, attempt, exc, retryable=False
+            ) from exc
+        if attempt > self.retries:
+            raise SweepTaskError(task, attempt, exc) from exc
+        bus().emit(
+            "sweep.task_retry",
+            task=task.label,
+            run_id=task.run_id(),
+            attempt=attempt,
+            error=type(exc).__name__,
+            cause=_cause_name(exc),
+        )
 
     def _run_pool(
         self,
@@ -606,26 +615,8 @@ class ParallelSweepExecutor:
                 cursor += 1
                 try:
                     result = future.result(timeout=self.timeout_s)
-                except SweepTaskError:
-                    # see _run_inline: never double-wrap.
-                    raise
                 except _CLASSIFIED_TYPES as exc:
-                    if _is_fatal(exc):
-                        raise SweepTaskError(
-                            tasks[i], attempt, exc, retryable=False
-                        ) from exc
-                    if attempt > self.retries:
-                        raise SweepTaskError(
-                            tasks[i], attempt, exc
-                        ) from exc
-                    bus().emit(
-                        "sweep.task_retry",
-                        task=tasks[i].label,
-                        run_id=tasks[i].run_id(),
-                        attempt=attempt,
-                        error=type(exc).__name__,
-                        cause=_cause_name(exc),
-                    )
+                    self._attempt_failed(tasks[i], attempt, exc)
                     inflight.append(
                         (
                             i,

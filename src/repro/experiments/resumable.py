@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.core.checkpoint import CheckpointError
 from repro.telemetry.bus import bus
-from repro.util.atomicio import atomic_write_text
+from repro.util.atomicio import atomic_write_text, read_json
 
 #: bump whenever the checkpoint layout or any snapshot format changes;
 #: resuming from an older schema fails loudly instead of mis-restoring.
@@ -73,28 +73,6 @@ def write_run_checkpoint(path: str | Path, blob: dict) -> Path:
 def load_run_checkpoint(path: str | Path) -> dict:
     """Load and schema-check a checkpoint; raises
     :class:`CheckpointError` naming the path on any problem."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {exc}"
-        ) from exc
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(blob, dict):
-        raise CheckpointError(
-            f"checkpoint {path} must be a JSON object, got "
-            f"{type(blob).__name__}"
-        )
-    if blob.get("schema") != RUN_CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"checkpoint {path} has schema {blob.get('schema')!r}; "
-            f"this version reads schema {RUN_CHECKPOINT_SCHEMA} - "
-            "re-run without --resume-from"
-        )
-    return blob
+    return read_json(
+        path, "checkpoint", CheckpointError, schema=RUN_CHECKPOINT_SCHEMA
+    )

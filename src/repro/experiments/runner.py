@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.core.capschedule import CapSchedule, CapScheduleApplier
+from repro.core.capschedule import (
+    CapSchedule,
+    CapScheduleApplier,
+    schedule_fingerprint,
+)
 from repro.core.checkpoint import (
     CheckpointError,
     controller_checkpoint,
@@ -36,8 +40,6 @@ from repro.experiments.resumable import (
 )
 from repro.experiments.serialize import (
     app_fingerprint,
-    config_from_json,
-    config_to_json,
     overhead_from_json,
     overhead_to_json,
     run_from_json,
@@ -316,7 +318,6 @@ def _checkpoint_meta(
 ) -> dict:
     """Everything that must match for a checkpoint to be resumable:
     resuming under a different setup would splice incompatible state."""
-    schedule = setup.cap_schedule
     return {
         "strategy": strategy,
         "app": app.label,
@@ -328,7 +329,7 @@ def _checkpoint_meta(
         "noise_sigma": setup.noise_sigma,
         "online_max_evals": setup.online_max_evals,
         "faults": plan_fingerprint(setup.fault_plan),
-        "capsched": schedule.fingerprint() if schedule else None,
+        "capsched": schedule_fingerprint(setup.cap_schedule),
         "selective_threshold_s": selective_threshold_s,
     }
 
@@ -404,7 +405,7 @@ def run_arcs_online(
         }
         dropouts = int(blob["dropouts"])
         configs = {
-            str(k): config_from_json(v)
+            str(k): OMPConfig.from_json(v)
             for k, v in blob["configs"].items()
         }
         overhead = overhead_from_json(blob["overhead"])
@@ -422,7 +423,7 @@ def run_arcs_online(
                 "fallbacks": dict(fallbacks),
                 "dropouts": dropouts,
                 "configs": {
-                    name: config_to_json(cfg)
+                    name: cfg.to_json()
                     for name, cfg in configs.items()
                 },
                 "overhead": overhead_to_json(overhead),

@@ -78,10 +78,10 @@ so a plan file fully determines which occurrences fire.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.util.atomicio import read_json, write_json
 from repro.util.jsonlog import digest
 
 #: injection site -> allowed actions.
@@ -232,9 +232,6 @@ class FaultPlan:
     def __bool__(self) -> bool:
         return bool(self.specs)
 
-    def for_site(self, site: str) -> tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.site == site)
-
     def to_json(self) -> dict:
         return {
             "seed": self.seed,
@@ -243,11 +240,6 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, blob: dict) -> "FaultPlan":
-        if not isinstance(blob, dict):
-            raise FaultPlanError(
-                f"fault plan must be a JSON object, got "
-                f"{type(blob).__name__}"
-            )
         unknown = set(blob) - {"seed", "faults"}
         if unknown:
             raise FaultPlanError(
@@ -268,27 +260,13 @@ def load_fault_plan(path: str | Path) -> FaultPlan:
     Raises :class:`FaultPlanError` naming the path on any problem, so
     the CLI can surface a one-line actionable message.
     """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FaultPlanError(
-            f"cannot read fault plan {path}: {exc}"
-        ) from exc
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FaultPlanError(
-            f"fault plan {path} is not valid JSON: {exc}"
-        ) from exc
-    try:
-        return FaultPlan.from_json(blob)
-    except FaultPlanError as exc:
-        raise FaultPlanError(f"fault plan {path}: {exc}") from None
+    return read_json(
+        path, "fault plan", FaultPlanError, parse=FaultPlan.from_json
+    )
 
 
 def save_fault_plan(plan: FaultPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan.to_json(), indent=2) + "\n")
+    write_json(path, plan.to_json())
 
 
 def plan_fingerprint(plan: FaultPlan | None) -> str | None:

@@ -13,12 +13,12 @@ a different fleet.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.machine.spec import MachineSpec, machine_by_name
+from repro.util.atomicio import read_json, write_json
 from repro.util.jsonlog import digest
 
 
@@ -216,11 +216,6 @@ class FleetPlan:
 
     @classmethod
     def from_json(cls, blob: dict) -> "FleetPlan":
-        if not isinstance(blob, dict):
-            raise FleetPlanError(
-                f"fleet plan must be a JSON object, got "
-                f"{type(blob).__name__}"
-            )
         known = {
             "global_cap_w", "max_steps", "seed", "quantum_w",
             "min_cap_fraction", "hysteresis_w", "hysteresis_steps",
@@ -260,27 +255,13 @@ class FleetPlan:
 def load_fleet_plan(path: str | Path) -> FleetPlan:
     """Load a :class:`FleetPlan` from JSON, raising
     :class:`FleetPlanError` naming the path on any problem."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise FleetPlanError(
-            f"cannot read fleet plan {path}: {exc}"
-        ) from exc
-    try:
-        blob = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FleetPlanError(
-            f"fleet plan {path} is not valid JSON: {exc}"
-        ) from exc
-    try:
-        return FleetPlan.from_json(blob)
-    except FleetPlanError as exc:
-        raise FleetPlanError(f"fleet plan {path}: {exc}") from None
+    return read_json(
+        path, "fleet plan", FleetPlanError, parse=FleetPlan.from_json
+    )
 
 
 def save_fleet_plan(plan: FleetPlan, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(plan.to_json(), indent=2) + "\n")
+    write_json(path, plan.to_json())
 
 
 def fleet_plan_fingerprint(plan: FleetPlan) -> str:

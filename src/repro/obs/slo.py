@@ -33,12 +33,12 @@ telemetry event, and the CLI maps any alert to a nonzero exit code.
 from __future__ import annotations
 
 import fnmatch
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.obs.aggregate import StreamAggregator
 from repro.telemetry.bus import bus
+from repro.util.atomicio import read_json
 
 SLO_SCHEMA_VERSION = 1
 
@@ -92,21 +92,19 @@ class RuleOutcome:
 
 def load_rules(path: str | Path) -> list[dict]:
     """Parse and validate a rule file."""
-    try:
-        blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SloConfigError(f"cannot read SLO rules {path}: {exc}")
-    if (
-        not isinstance(blob, dict)
-        or blob.get("schema") != SLO_SCHEMA_VERSION
-    ):
-        raise SloConfigError(
-            f"SLO file {path} must be an object with schema="
-            f"{SLO_SCHEMA_VERSION}"
-        )
+    return read_json(
+        path,
+        "SLO rules",
+        SloConfigError,
+        schema=SLO_SCHEMA_VERSION,
+        parse=_parse_rules,
+    )
+
+
+def _parse_rules(blob: dict) -> list[dict]:
     rules = blob.get("rules")
     if not isinstance(rules, list) or not rules:
-        raise SloConfigError(f"SLO file {path} holds no rules")
+        raise SloConfigError("lists no rules")
     seen: set[str] = set()
     for rule in rules:
         if not isinstance(rule, dict):

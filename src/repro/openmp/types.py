@@ -51,6 +51,24 @@ class OMPConfig:
         ``"16, guided, 8"`` or ``"32, static, default"``."""
         return _cached_label(self)
 
+    def to_json(self) -> dict:
+        """Plain-JSON form: ``n_threads``, ``schedule``, ``chunk``."""
+        return {
+            "n_threads": self.n_threads,
+            "schedule": self.schedule.value,
+            "chunk": self.chunk,
+        }
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "OMPConfig":
+        """Inverse of :meth:`to_json`."""
+        chunk = blob["chunk"]
+        return cls(
+            int(blob["n_threads"]),
+            ScheduleKind(blob["schedule"]),
+            None if chunk is None else int(chunk),
+        )
+
 
 @lru_cache(maxsize=None)
 def _cached_label(config: OMPConfig) -> str:

@@ -35,10 +35,10 @@ from typing import TYPE_CHECKING
 
 from repro.core.history import (
     HistoryStore,
-    _config_from_json,
-    _config_to_json,
+    experiment_key,
+    region_from_json,
+    region_to_json,
 )
-from repro.faults.plan import plan_fingerprint
 from repro.openmp.types import OMPConfig
 from repro.obs.trace import traced_span
 from repro.service.client import (
@@ -47,14 +47,14 @@ from repro.service.client import (
     ServiceError,
 )
 from repro.telemetry.bus import bus
-from repro.util.jsonlog import digest
 
 if TYPE_CHECKING:  # avoid the runner <-> source import cycle
     from repro.experiments.runner import ExperimentSetup
     from repro.workloads.base import Application
 
-#: bump when the shared-knowledge payload layout or digest inputs
-#: change; old service entries then simply miss.
+#: bump when the shared-knowledge payload layout changes; payloads with
+#: another stamp then simply miss.  The digest inputs are versioned by
+#: the result cache's ``CACHE_SCHEMA_VERSION`` (see :func:`config_key`).
 KNOWLEDGE_SCHEMA_VERSION = 1
 
 #: bound on the process-wide memo tier (FIFO admission, like the
@@ -74,35 +74,18 @@ class ConfigKey:
 
 
 def config_key(app: "Application", setup: "ExperimentSetup") -> ConfigKey:
-    """Key for the tuned knowledge of one (app, machine, cap) context.
+    """Key for the tuned knowledge of one (app, machine, cap) context:
+    the experiment key plus the result cache's
+    :func:`~repro.experiments.cache.tuning_digest` (strategy and
+    repeats excluded - every offline cell of a context shares one
+    exhaustive tuning result)."""
+    from repro.experiments.cache import tuning_digest  # import cycle
 
-    Mirrors :func:`repro.experiments.cache.tuning_digest` (strategy
-    and repeats excluded - every offline cell of a context shares one
-    exhaustive tuning result) but is derived independently so the
-    service payload schema can evolve without invalidating the local
-    result cache.
-    """
-    from repro.core.history import experiment_key
-    from repro.experiments.serialize import app_fingerprint
-
-    blob: dict = {
-        "schema": KNOWLEDGE_SCHEMA_VERSION,
-        "app": app.name,
-        "workload": app.workload,
-        "fingerprint": app_fingerprint(app),
-        "machine": setup.spec.name,
-        "cap_w": setup.cap_w,
-        "seed": setup.seed,
-        "noise_sigma": setup.noise_sigma,
-    }
-    faults = plan_fingerprint(setup.fault_plan)
-    if faults is not None:
-        blob["faults"] = faults
     return ConfigKey(
         experiment=experiment_key(
             app.name, setup.spec.name, setup.cap_w, app.workload
         ),
-        digest=digest(blob),
+        digest=tuning_digest(app, setup),
     )
 
 
@@ -115,7 +98,7 @@ def entry_to_payload(key: ConfigKey, entry: Entry) -> dict:
         "schema": KNOWLEDGE_SCHEMA_VERSION,
         "experiment": key.experiment,
         "regions": {
-            region: _config_to_json(cfg, values.get(region))
+            region: region_to_json(cfg, values.get(region))
             for region, cfg in configs.items()
         },
     }
@@ -135,7 +118,7 @@ def payload_to_entry(payload: dict) -> Entry:
     configs: dict[str, OMPConfig] = {}
     values: dict[str, float | None] = {}
     for region, blob in regions.items():
-        configs[region], values[region] = _config_from_json(blob)
+        configs[region], values[region] = region_from_json(blob)
     return configs, values
 
 

@@ -36,7 +36,7 @@ from repro.experiments.journal import JOURNAL_SCHEMA_VERSION
 from repro.experiments.runner import StrategyRunResult
 from repro.faults.inject import FaultInjector
 from repro.openmp.types import OMPConfig, ScheduleKind
-from repro.util.atomicio import atomic_write_text
+from repro.util.atomicio import read_json, write_json
 from repro.util.jsonlog import read_jsonl
 
 #: bump when the training-record layout changes; mismatched corpus
@@ -197,9 +197,7 @@ def fold_result(
                 machine=result.machine,
                 region=region,
                 cap_w=result.cap_w,
-                n_threads=config.n_threads,
-                schedule=config.schedule.value,
-                chunk=config.chunk,
+                **config.to_json(),
                 time_s=time_s,
                 energy_j=energy,
                 source=source,
@@ -393,9 +391,7 @@ def fold_telemetry_file(
                     machine=str(machine),
                     region=region,
                     cap_w=cap_w,
-                    n_threads=config.n_threads,
-                    schedule=config.schedule.value,
-                    chunk=config.chunk,
+                    **config.to_json(),
                     time_s=time_s,
                     energy_j=None,
                     source="telemetry",
@@ -435,7 +431,7 @@ def save_corpus(
         "stats": stats.to_json(),
         "records": [r.to_json() for r in records],
     }
-    return atomic_write_text(path, json.dumps(blob, indent=2) + "\n")
+    return write_json(path, blob)
 
 
 def load_corpus(
@@ -443,18 +439,9 @@ def load_corpus(
 ) -> tuple[list[TrainingRecord], CorpusStats]:
     """Inverse of :func:`save_corpus`; raises ``ValueError`` on a
     missing/corrupt file or a mismatched schema stamp."""
-    try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read corpus {path}: {exc}") from exc
-    if (
-        not isinstance(blob, dict)
-        or blob.get("schema") != CORPUS_SCHEMA_VERSION
-    ):
-        raise ValueError(
-            f"corpus {path} has unsupported schema "
-            f"{blob.get('schema') if isinstance(blob, dict) else '?'!r}"
-        )
+    blob = read_json(
+        path, "corpus", ValueError, schema=CORPUS_SCHEMA_VERSION
+    )
     stats_blob = blob.get("stats", {})
     stats = CorpusStats(
         records=int(stats_blob.get("records", 0)),

@@ -29,7 +29,6 @@ unusable with a typed reason instead of raising.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +39,7 @@ from repro.faults.inject import FaultInjector
 from repro.machine.spec import machine_by_name
 from repro.openmp.types import OMPConfig
 from repro.surrogate.corpus import CorpusStats, TrainingRecord
-from repro.util.atomicio import atomic_write_text
+from repro.util.atomicio import read_json, write_json
 from repro.workloads.registry import application_by_name
 
 #: bump when the serialized model layout changes.
@@ -505,7 +504,7 @@ def save_model(model: SurrogateModel, path: str | Path) -> Path:
         "weights": [float(w) for w in model.weights],
         "report": model.report.to_json(),
     }
-    return atomic_write_text(path, json.dumps(blob, indent=2) + "\n")
+    return write_json(path, blob)
 
 
 def load_model(path: str | Path) -> SurrogateModel:
@@ -515,32 +514,26 @@ def load_model(path: str | Path) -> SurrogateModel:
     corrupt file or a schema/feature-version mismatch; callers on the
     degradation path catch it and fall back.
     """
-    try:
-        blob = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SurrogateError(
-            f"cannot read surrogate model {path}: {exc}"
-        ) from exc
-    if not isinstance(blob, dict):
-        raise SurrogateError(
-            f"surrogate model {path} is not a JSON object"
-        )
-    if blob.get("schema") != MODEL_SCHEMA_VERSION:
-        raise SurrogateError(
-            f"surrogate model {path} has unsupported schema "
-            f"{blob.get('schema')!r}"
-        )
+    return read_json(
+        path,
+        "surrogate model",
+        SurrogateError,
+        schema=MODEL_SCHEMA_VERSION,
+        parse=_model_from_json,
+    )
+
+
+def _model_from_json(blob: dict) -> SurrogateModel:
     if blob.get("feature_version") != FEATURE_VERSION:
         raise SurrogateError(
-            f"surrogate model {path} was hashed under feature version "
+            f"was hashed under feature version "
             f"{blob.get('feature_version')!r}, this build expects "
             f"{FEATURE_VERSION}"
         )
     if blob.get("mlp") is not None:
         raise SurrogateError(
-            f"surrogate model {path} carries tiny-MLP refinement "
-            "parameters, which this build no longer evaluates; refit it "
-            "with 'repro surrogate fit'"
+            "carries tiny-MLP refinement parameters, which this build "
+            "no longer evaluates; refit it with 'repro surrogate fit'"
         )
     try:
         dim = int(blob["dim"])
@@ -558,6 +551,4 @@ def load_model(path: str | Path) -> SurrogateModel:
             report=report,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SurrogateError(
-            f"surrogate model {path} is corrupt: {exc}"
-        ) from exc
+        raise SurrogateError(f"is corrupt: {exc}") from exc

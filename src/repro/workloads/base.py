@@ -173,9 +173,6 @@ class AppRunResult:
     #: read failures, wraparound corrections); empty for a clean run.
     degraded: tuple[str, ...] = ()
 
-    def total_barrier_s(self) -> float:
-        return sum(t.barrier_s for t in self.region_totals.values())
-
 
 #: attempts per RAPL energy read before degrading to time-only.
 _ENERGY_READ_ATTEMPTS = 3

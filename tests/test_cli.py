@@ -69,8 +69,12 @@ class TestCommands:
         assert "2, 4, 8, 16, 24, 32, default" in out
 
     def test_search_space_bad_machine(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as err:
             main(["search-space", "--machine", "frontier"])
+        assert str(err.value.code) == (
+            "error: unknown machine 'frontier'; known: "
+            "['crill', 'minotaur']"
+        )
 
     def test_run_default_strategy(self, capsys):
         code = main(
@@ -284,6 +288,69 @@ class TestTelemetryCommandErrors:
         assert message.startswith("error: ")
         assert "\n" not in message
         assert needle in message
+
+
+class TestUserInputErrors:
+    """Unknown names and unreadable input files given on the command
+    line exit with one ``error:`` line, not a traceback."""
+
+    @staticmethod
+    def _history(tmp_path, text):
+        path = tmp_path / "history.json"
+        path.write_text(text)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["run", "--machine", "frontier"], "unknown machine"),
+            (["sweep", "--machine", "frontier"], "unknown machine"),
+            (["run", "--app", "sp", "--workload", "Z"], "'Z'"),
+            (["sweep", "--app", "sp", "--workload", "Z"], "'Z'"),
+        ],
+    )
+    def test_unknown_name(self, argv, needle):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        message = str(err.value.code)
+        assert message.startswith("error: ")
+        assert "\n" not in message
+        assert needle in message
+
+    def test_torn_history(self, tmp_path):
+        path = self._history(tmp_path, '{"k": {"r": {"n_threads":')
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "run", "--app", "synthetic", "--strategy",
+                    "arcs-offline", "--repeats", "1", "--history", path,
+                ]
+            )
+        message = str(err.value.code)
+        assert message.startswith("error: cannot read ARCS history file")
+        assert path in message
+        assert "not valid JSON" in message
+
+    def test_malformed_history_entry(self, tmp_path):
+        from repro.core.history import experiment_key
+        from repro.workloads.registry import application_by_name
+
+        key = experiment_key(
+            "synthetic", "crill", None,
+            application_by_name("synthetic").workload,
+        )
+        path = self._history(tmp_path, json.dumps({key: 5}))
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "run", "--app", "synthetic", "--strategy",
+                    "arcs-offline", "--repeats", "1", "--history", path,
+                ]
+            )
+        message = str(err.value.code)
+        assert message.startswith("error: ")
+        assert path in message
+        assert repr(key) in message
 
 
 def write_capsched(tmp_path, after=30, cap_w=55.0):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.history import (
     CorruptHistoryError,
+    HistoryKeyMissing,
     HistoryStore,
     experiment_key,
 )
@@ -128,3 +131,33 @@ class TestExperimentKey:
             for cap in (55.0, 70.0, 85.0, None)
         }
         assert len(keys) == 4
+
+
+class TestMalformedEntries:
+    """A history file whose JSON parses but whose entries are not
+    region configs raises :class:`CorruptHistoryError` naming the path
+    and the key, not a raw ``AttributeError``/``ValueError``."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [5, {"r": {"n_threads": "x"}}],
+        ids=["not-a-mapping", "bad-thread-count"],
+    )
+    def test_load_and_load_values_raise(self, tmp_path, entry):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"k": entry}))
+        store = HistoryStore(path)
+        for read in (store.load, store.load_values):
+            with pytest.raises(CorruptHistoryError) as err:
+                read("k")
+            assert str(path) in str(err.value)
+            assert "'k'" in str(err.value)
+            assert err.value.path == path
+
+    def test_missing_key_is_still_key_missing(self, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"k": 5}))
+        store = HistoryStore(path)
+        with pytest.raises(HistoryKeyMissing):
+            store.load("other")
+        assert store.load_values("other") == {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.openmp.types import OMPConfig, ScheduleKind, default_config
@@ -47,3 +49,27 @@ class TestScheduleKind:
         assert ScheduleKind("static") is ScheduleKind.STATIC
         assert ScheduleKind("dynamic") is ScheduleKind.DYNAMIC
         assert ScheduleKind("guided") is ScheduleKind.GUIDED
+
+
+class TestJsonCodec:
+    def test_round_trip_over_the_crill_space(self):
+        from repro.core.config import config_from_point, search_space_for
+        from repro.machine.spec import crill
+
+        space = search_space_for(crill())
+        seen = 0
+        for indices in space.iter_indices():
+            cfg = config_from_point(space.decode(indices))
+            blob = cfg.to_json()
+            assert list(blob) == ["n_threads", "schedule", "chunk"]
+            assert blob["schedule"] == cfg.schedule.value
+            assert OMPConfig.from_json(blob) == cfg
+            assert OMPConfig.from_json(json.loads(json.dumps(blob))) == cfg
+            seen += 1
+        assert seen == space.size
+
+    def test_default_chunk_is_null(self):
+        cfg = OMPConfig(8, ScheduleKind.GUIDED)
+        assert json.dumps(cfg.to_json()) == (
+            '{"n_threads": 8, "schedule": "guided", "chunk": null}'
+        )
